@@ -4,7 +4,9 @@
 #      in the top-level *.md files must point at an existing file;
 #   2. every public header in src/obs must carry a file-top comment and a
 #      doc comment on each top-level class/struct, so the observability
-#      API cannot drift undocumented.
+#      API cannot drift undocumented;
+#   3. the scenario catalogue, the DESIGN.md fault-kind table and the
+#      OBSERVABILITY.md counter table must match the code (sections 2-4).
 # Exits non-zero listing every violation; prints nothing on success
 # beyond a one-line summary.
 set -u
@@ -94,7 +96,26 @@ if [ -f DESIGN.md ] && [ -f src/sim/fault_injector.cpp ]; then
   done
 fi
 
-# --- 4. doc comments on src/obs public headers -----------------------------
+# --- 4. OBSERVABILITY.md counter rows <-> sim::kEventTable ------------------
+# Every `sim.*` counter named in the event table (src/sim/schema.hpp, the
+# counter column the span tracer publishes) must have a `| `name` |` row
+# in OBSERVABILITY.md. A counter added without docs fails the docs label.
+if [ -f OBSERVABILITY.md ] && [ -f src/sim/schema.hpp ]; then
+  table_counters=$(sed -n '/kEventTable\[\] = {/,/^};/p' src/sim/schema.hpp |
+    grep -o '"sim\.[a-z0-9_.]*"' | tr -d '"' | sort -u)
+  if [ -z "$table_counters" ]; then
+    echo "EVENT COUNTER LINT BROKEN: no sim.* names parsed from kEventTable in src/sim/schema.hpp"
+    fail=1
+  fi
+  for name in $table_counters; do
+    if ! grep -qF "| \`${name}\` |" OBSERVABILITY.md; then
+      echo "UNDOCUMENTED COUNTER: kEventTable publishes '$name' but OBSERVABILITY.md has no \`$name\` table row"
+      fail=1
+    fi
+  done
+fi
+
+# --- 5. doc comments on src/obs public headers -----------------------------
 for hdr in src/obs/*.hpp; do
   if ! head -n 1 "$hdr" | grep -q '^//'; then
     echo "MISSING FILE COMMENT: $hdr must open with a // comment block"
@@ -118,4 +139,4 @@ if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED"
   exit 1
 fi
-echo "check_docs: ok (markdown links + scenario catalogue + fault-kind table + src/obs header docs)"
+echo "check_docs: ok (markdown links + scenario catalogue + fault-kind table + event counter table + src/obs header docs)"

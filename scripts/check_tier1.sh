@@ -9,7 +9,9 @@
 #
 #   scripts/check_tier1.sh              # tier1 + docs + perf + fleet
 #   scripts/check_tier1.sh --all        # every ctest label (slow/chaos/
-#                                       # golden included)
+#                                       # golden included) plus the golden
+#                                       # byte check (update_goldens.sh
+#                                       # --check)
 #   scripts/check_tier1.sh --full       # --all plus the sanitizer chaos
 #                                       # soak (scripts/check_soak.sh)
 #   scripts/check_tier1.sh --scenarios  # also smoke-compile every
@@ -26,13 +28,16 @@ cd "$(dirname "$0")/.."
 build="${BUILD_DIR:-build}"
 
 ctest_args=(-L 'tier1|docs|perf|fleet')
+goldens=0
 soak=0
 scenarios=0
 if [ "${1:-}" = "--all" ]; then
   ctest_args=()
+  goldens=1
   shift
 elif [ "${1:-}" = "--full" ]; then
   ctest_args=()
+  goldens=1
   soak=1
   shift
 elif [ "${1:-}" = "--scenarios" ]; then
@@ -45,6 +50,10 @@ cmake -B "${build}" -S . >/dev/null
 cmake --build "${build}" -j"$(nproc)"
 ctest --test-dir "${build}" --output-on-failure -j"$(nproc)" \
       "${ctest_args[@]+"${ctest_args[@]}"}"
+
+if [ "${goldens}" = 1 ]; then
+  scripts/update_goldens.sh --check "${build}"
+fi
 
 if [ "${soak}" = 1 ]; then
   scripts/check_soak.sh

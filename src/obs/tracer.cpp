@@ -32,6 +32,12 @@ std::string failure_cause_slug(sim::FailureCause c) {
 
 SpanTracer::SpanTracer(Registry* registry) : registry_(registry) {}
 
+void SpanTracer::record(Histogram*& slot, const char* name,
+                        const std::vector<double>& buckets, double v) {
+  if (slot == nullptr) slot = registry_->histogram(name, buckets);
+  if (slot != nullptr) slot->record(v);
+}
+
 void SpanTracer::note_fault(std::size_t kind_index) {
   const std::string name =
       sim::fault_kind_name(static_cast<sim::FaultKind>(kind_index));
@@ -55,15 +61,19 @@ void SpanTracer::close_handover(double t, const std::string& outcome) {
   if (outcome == "complete") {
     ++tally_.latency_count;
     if (registry_ != nullptr) {
-      registry_
-          ->histogram("sim.handover_latency_s",
-                      handover_latency_buckets_s())
-          ->record(span.duration_s());
-      for (const auto& p : span.phases)
-        registry_
-            ->histogram("sim.handover_phase." + p.name + "_s",
-                        handover_latency_buckets_s())
-            ->record(p.end_s - p.start_s);
+      record(latency_hist_, "sim.handover_latency_s",
+             handover_latency_buckets_s(), span.duration_s());
+      for (const auto& p : span.phases) {
+        auto it = std::find_if(
+            phase_hists_.begin(), phase_hists_.end(),
+            [&](const auto& entry) { return entry.first == p.name; });
+        if (it == phase_hists_.end())
+          it = phase_hists_.insert(
+              it, {p.name, registry_->histogram(
+                               "sim.handover_phase." + p.name + "_s",
+                               handover_latency_buckets_s())});
+        if (it->second != nullptr) it->second->record(p.end_s - p.start_s);
+      }
     }
   }
   spans_.push_back(std::move(span));
@@ -80,9 +90,8 @@ void SpanTracer::close_outage(double t, const std::string& outcome) {
     ++tally_.reestablished;
     tally_.outage_sum_s += span.duration_s();
     if (registry_ != nullptr)
-      registry_
-          ->histogram("sim.outage_duration_s", outage_duration_buckets_s())
-          ->record(span.duration_s());
+      record(outage_hist_, "sim.outage_duration_s",
+             outage_duration_buckets_s(), span.duration_s());
   }
   spans_.push_back(std::move(span));
 }
@@ -97,6 +106,8 @@ void SpanTracer::on_ue(int ue) {
 }
 
 void SpanTracer::on_event(const sim::SignalingEvent& e) {
+  if (sim::event_index(e.kind) < sim::kNumEventKinds)
+    ++tally_.count[sim::event_index(e.kind)];
   // Phases are opened with end_s < start_s as an "open" sentinel; the
   // closing transition stamps the real end.
   const auto open_phase = [&](const std::string& name, double t) {
@@ -109,9 +120,22 @@ void SpanTracer::on_event(const sim::SignalingEvent& e) {
         handover_->phases.back().end_s < handover_->phases.back().start_s)
       handover_->phases.back().end_s = t;
   };
+  // RLF and T304 expiry both start an outage (T304: re-establishment on
+  // the prepared target).
+  const auto open_outage = [&] {
+    close_outage(e.t_s, "superseded");
+    outage_ = Span{};
+    outage_->kind = "outage";
+    outage_->start_s = e.t_s;
+    outage_->serving = e.serving_cell;
+    outage_->phases.push_back({"outage", e.t_s, e.t_s - 1.0});
+    for (std::size_t k = 0; k < sim::kNumFaultKinds; ++k)
+      if (fault_active_[k])
+        outage_->faults.push_back(
+            sim::fault_kind_name(static_cast<sim::FaultKind>(k)));
+  };
   switch (e.kind) {
     case sim::EventKind::kMeasurementTriggered: {
-      ++tally_.triggered;
       // The simulator never triggers a new attempt while one is live, but
       // close defensively rather than leak an open span.
       close_handover(e.t_s, "superseded");
@@ -129,74 +153,44 @@ void SpanTracer::on_event(const sim::SignalingEvent& e) {
       break;
     }
     case sim::EventKind::kReportRetransmit:
-      ++tally_.retransmits;
       if (handover_) ++handover_->report_retransmits;
       break;
     case sim::EventKind::kReportDelivered:
-      ++tally_.report_delivered;
       if (handover_) {
         end_phase(e.t_s);
         open_phase("decide", e.t_s);
       }
       break;
     case sim::EventKind::kReportLost:
-      ++tally_.report_lost;
       close_handover(e.t_s, "report_lost");
       break;
     case sim::EventKind::kHoCommandDuplicate:
-      ++tally_.duplicates;
       if (handover_) handover_->duplicate_command = true;
       break;
     case sim::EventKind::kHoCommandDelivered:
-      ++tally_.attempts;
       if (handover_) {
         end_phase(e.t_s);
         open_phase("execute", e.t_s);
       }
       break;
     case sim::EventKind::kHoCommandLost:
-      ++tally_.command_lost;
       close_handover(e.t_s, "command_lost");
       break;
     case sim::EventKind::kHandoverComplete:
-      ++tally_.complete;
       close_handover(e.t_s, "complete");
       break;
     case sim::EventKind::kT304Expiry:
-      ++tally_.t304_expiry;
       close_handover(e.t_s, "t304_expiry");
-      // T304 expiry starts an outage (re-establishment on the prepared
-      // target), exactly like an RLF does.
-      close_outage(e.t_s, "superseded");
-      outage_ = Span{};
-      outage_->kind = "outage";
-      outage_->start_s = e.t_s;
-      outage_->serving = e.serving_cell;
-      outage_->phases.push_back({"outage", e.t_s, e.t_s - 1.0});
-      for (std::size_t k = 0; k < sim::kNumFaultKinds; ++k)
-        if (fault_active_[k])
-          outage_->faults.push_back(
-              sim::fault_kind_name(static_cast<sim::FaultKind>(k)));
+      open_outage();
       break;
     case sim::EventKind::kRadioLinkFailure:
-      ++tally_.rlf;
       close_handover(e.t_s, "rlf_interrupted");
-      close_outage(e.t_s, "superseded");
-      outage_ = Span{};
-      outage_->kind = "outage";
-      outage_->start_s = e.t_s;
-      outage_->serving = e.serving_cell;
-      outage_->phases.push_back({"outage", e.t_s, e.t_s - 1.0});
-      for (std::size_t k = 0; k < sim::kNumFaultKinds; ++k)
-        if (fault_active_[k])
-          outage_->faults.push_back(
-              sim::fault_kind_name(static_cast<sim::FaultKind>(k)));
+      open_outage();
       break;
     case sim::EventKind::kReestablished:
       close_outage(e.t_s, "reestablished");
       break;
     case sim::EventKind::kFaultStart:
-      ++tally_.fault_windows;
       if (e.target_cell >= 0 &&
           e.target_cell < static_cast<int>(sim::kNumFaultKinds)) {
         fault_active_[static_cast<std::size_t>(e.target_cell)] = true;
@@ -208,13 +202,7 @@ void SpanTracer::on_event(const sim::SignalingEvent& e) {
           e.target_cell < static_cast<int>(sim::kNumFaultKinds))
         fault_active_[static_cast<std::size_t>(e.target_cell)] = false;
       break;
-    case sim::EventKind::kDegradedEnter:
-      ++tally_.degraded_enters;
-      break;
-    case sim::EventKind::kDegradedExit:
-      break;
     case sim::EventKind::kPrepRequest:
-      ++tally_.prep_requests;
       if (handover_) {
         // Open the prepare phase on the first request; a fallback re-send
         // arrives with the prepare phase already open and extends it.
@@ -229,78 +217,43 @@ void SpanTracer::on_event(const sim::SignalingEvent& e) {
       }
       break;
     case sim::EventKind::kPrepRetry:
-      ++tally_.prep_retries;
       if (handover_) ++handover_->prep_retries;
       break;
     case sim::EventKind::kPrepAck:
-      ++tally_.prep_acks;
       // The event carries the request->ack round trip in the SNR slot.
       // The prepare phase stays open past the ack: it runs until the
       // command reaches the UE, keeping the phase timeline contiguous.
       tally_.prep_rtt_sum_s += e.serving_snr_db;
       if (registry_ != nullptr)
-        registry_->histogram("sim.backhaul.prep_rtt_s",
-                             backhaul_rtt_buckets_s())
-            ->record(e.serving_snr_db);
-      break;
-    case sim::EventKind::kPrepReject:
-      ++tally_.prep_rejects;
+        record(prep_rtt_hist_, "sim.backhaul.prep_rtt_s",
+               backhaul_rtt_buckets_s(), e.serving_snr_db);
       break;
     case sim::EventKind::kPrepFallback:
-      ++tally_.prep_fallbacks;
       if (handover_) handover_->used_fallback = true;
       break;
     case sim::EventKind::kPrepFailed:
-      ++tally_.prep_failures;
       close_handover(e.t_s, "prep_failed");
-      break;
-    case sim::EventKind::kContextFetchFailed:
-      ++tally_.ctx_fetch_failures;
-      break;
-    case sim::EventKind::kBsQueueShed:
-      ++tally_.bs_queue_sheds;
       break;
     case sim::EventKind::kBsJobDone:
       // The SNR slot carries the job's queue wait in seconds.
-      ++tally_.bs_jobs_done;
       tally_.bs_queue_wait_sum_s += e.serving_snr_db;
       if (registry_ != nullptr)
-        registry_->histogram("sim.bs.queue_wait_s",
-                             bs_queue_wait_buckets_s())
-            ->record(e.serving_snr_db);
+        record(queue_wait_hist_, "sim.bs.queue_wait_s",
+               bs_queue_wait_buckets_s(), e.serving_snr_db);
       break;
     case sim::EventKind::kAdmissionReject:
-      ++tally_.admission_rejects;
       if (handover_) handover_->admission_rejected = true;
       break;
     case sim::EventKind::kAdmissionRetry:
-      ++tally_.admission_retries;
       if (handover_) ++handover_->admission_retries;
-      break;
-    case sim::EventKind::kBsCrash:
-      ++tally_.bs_crashes;
-      break;
-    case sim::EventKind::kBsRestart:
-      ++tally_.bs_restarts;
-      break;
-    case sim::EventKind::kContextStale:
-      ++tally_.stale_ctx_responses;
       break;
     case sim::EventKind::kCascadeInject:
       // World-global broadcast; the payload (injected job count) rides the
       // snr slot, mirroring SimStats::cascade_jobs_injected.
-      ++tally_.cascade_activations;
       tally_.cascade_jobs += static_cast<std::uint64_t>(e.serving_snr_db);
       break;
-    case sim::EventKind::kBreakerTrip:
-      ++tally_.breaker_trips;
-      break;
-    case sim::EventKind::kBreakerProbe:
-      ++tally_.breaker_probes;
-      break;
-    case sim::EventKind::kBreakerClose:
-      ++tally_.breaker_closes;
-      break;
+    default:
+      break;  // counted above; no span effect
   }
 }
 
@@ -316,8 +269,8 @@ void SpanTracer::on_tick(const sim::TickView& v) {
     t310_started_ = v.t_s;
   } else if (!v.t310_running && t310_prev_) {
     if (registry_ != nullptr)
-      registry_->histogram("sim.out_of_sync_s", out_of_sync_buckets_s())
-          ->record(v.t_s - t310_started_);
+      record(out_of_sync_hist_, "sim.out_of_sync_s", out_of_sync_buckets_s(),
+             v.t_s - t310_started_);
   }
   t310_prev_ = v.t310_running;
 }
@@ -333,38 +286,11 @@ void SpanTracer::on_run_end(sim::SimStats& stats) {
   const auto put = [&](const char* name, std::uint64_t v) {
     registry_->counter(name)->add(v);
   };
-  put("sim.handover.triggered", tally_.triggered);
-  put("sim.handover.attempts", tally_.attempts);
-  put("sim.handover.complete", tally_.complete);
-  put("sim.handover.report_lost", tally_.report_lost);
-  put("sim.handover.command_lost", tally_.command_lost);
-  put("sim.handover.t304_expiry", tally_.t304_expiry);
-  put("sim.report.delivered", tally_.report_delivered);
-  put("sim.report.retransmits", tally_.retransmits);
-  put("sim.rlf", tally_.rlf);
+  for (const auto& row : sim::kEventTable)
+    if (row.counter != nullptr)
+      put(row.counter, tally_.count[sim::event_index(row.kind)]);
   put("sim.reestablished", tally_.reestablished);
-  put("sim.command.duplicates", tally_.duplicates);
-  put("sim.degraded.enters", tally_.degraded_enters);
-  put("sim.fault.windows", tally_.fault_windows);
-  put("sim.prep.requests", tally_.prep_requests);
-  put("sim.prep.retries", tally_.prep_retries);
-  put("sim.prep.acks", tally_.prep_acks);
-  put("sim.prep.rejects", tally_.prep_rejects);
-  put("sim.prep.fallbacks", tally_.prep_fallbacks);
-  put("sim.prep.failures", tally_.prep_failures);
-  put("sim.ctx_fetch.failures", tally_.ctx_fetch_failures);
-  put("sim.bs.jobs_served", tally_.bs_jobs_done);
-  put("sim.bs.queue_shed", tally_.bs_queue_sheds);
-  put("sim.bs.admission_rejects", tally_.admission_rejects);
-  put("sim.bs.admission_retries", tally_.admission_retries);
-  put("sim.bs.crashes", tally_.bs_crashes);
-  put("sim.bs.restarts", tally_.bs_restarts);
-  put("sim.bs.stale_context", tally_.stale_ctx_responses);
-  put("sim.cascade.activations", tally_.cascade_activations);
   put("sim.cascade.jobs_injected", tally_.cascade_jobs);
-  put("sim.breaker.trips", tally_.breaker_trips);
-  put("sim.breaker.probes", tally_.breaker_probes);
-  put("sim.breaker.closes", tally_.breaker_closes);
   // Failure causes exist only in SimStats (events do not carry the Table 2
   // classification); reconcile() checks the totals are consistent with the
   // event-derived failure count.
@@ -382,56 +308,34 @@ std::vector<std::string> SpanTracer::reconcile(
     out.push_back("reconcile: on_run_end has not fired yet");
     return out;
   }
-  const auto check_u = [&](const char* what, std::uint64_t trace_v,
+  const auto check_u = [&](const std::string& what, std::uint64_t trace_v,
                            long long stats_v) {
     if (static_cast<long long>(trace_v) != stats_v)
-      out.push_back(std::string(what) + ": trace " +
-                    std::to_string(trace_v) + " vs stats " +
-                    std::to_string(stats_v));
+      out.push_back(what + ": trace " + std::to_string(trace_v) +
+                    " vs stats " + std::to_string(stats_v));
   };
-  check_u("handover attempts", tally_.attempts, stats.handovers);
-  check_u("handover completions", tally_.complete,
-          stats.successful_handovers);
-  check_u("failures (rlf + t304)", tally_.rlf + tally_.t304_expiry,
-          stats.failures);
+  const auto count = [&](sim::EventKind k) {
+    return tally_.count[sim::event_index(k)];
+  };
+  for (const auto& row : sim::kEventTable)
+    if (row.stat != nullptr)
+      check_u(std::string(row.token) + " events vs SimStats::" +
+                  sim::stats_name(row.stat),
+              count(row.kind), stats.*row.stat);
+  const std::uint64_t failures = count(sim::EventKind::kRadioLinkFailure) +
+                                 count(sim::EventKind::kT304Expiry);
+  check_u("failures (rlf + t304)", failures, stats.failures);
   long long cause_sum = 0;
   for (const auto& [cause, n] : stats.failures_by_cause) cause_sum += n;
-  check_u("failure-cause sum", tally_.rlf + tally_.t304_expiry, cause_sum);
+  check_u("failure-cause sum", failures, cause_sum);
   check_u("outages closed", tally_.reestablished,
           static_cast<long long>(stats.outage_durations_s.size()));
-  check_u("feedback deliveries", tally_.report_delivered,
+  check_u("feedback deliveries", count(sim::EventKind::kReportDelivered),
           static_cast<long long>(stats.feedback_delays_s.size()));
   check_u("latency-histogram count", tally_.latency_count,
           stats.successful_handovers);
-  check_u("report retransmits", tally_.retransmits,
-          stats.report_retransmits);
-  check_u("duplicate commands", tally_.duplicates,
-          stats.duplicate_commands);
-  check_u("degraded enters", tally_.degraded_enters, stats.degraded_enters);
-  check_u("prep requests", tally_.prep_requests, stats.prep_requests);
-  check_u("prep retries", tally_.prep_retries, stats.prep_retries);
-  check_u("prep acks", tally_.prep_acks, stats.prep_acks);
-  check_u("prep rejects", tally_.prep_rejects, stats.prep_rejects);
-  check_u("prep fallbacks", tally_.prep_fallbacks, stats.prep_fallbacks);
-  check_u("prep failures", tally_.prep_failures, stats.prep_failures);
-  check_u("context fetch failures", tally_.ctx_fetch_failures,
-          stats.context_fetch_failures);
-  check_u("BS jobs served", tally_.bs_jobs_done, stats.bs_jobs_served);
-  check_u("BS queue sheds", tally_.bs_queue_sheds, stats.bs_queue_shed);
-  check_u("admission busy rejects", tally_.admission_rejects,
-          stats.admission_rejects);
-  check_u("admission backoff retries", tally_.admission_retries,
-          stats.admission_backoff_retries);
-  check_u("BS crashes", tally_.bs_crashes, stats.bs_crashes);
-  check_u("stale context responses", tally_.stale_ctx_responses,
-          stats.stale_context_responses);
-  check_u("cascade activations", tally_.cascade_activations,
-          stats.cascade_activations);
   check_u("cascade jobs injected", tally_.cascade_jobs,
           stats.cascade_jobs_injected);
-  check_u("breaker trips", tally_.breaker_trips, stats.breaker_trips);
-  check_u("breaker probes", tally_.breaker_probes, stats.breaker_probes);
-  check_u("breaker closes", tally_.breaker_closes, stats.breaker_closes);
   // Queue waits accumulate the identical doubles in the identical event
   // order on both sides — bit-exact, like the RTT sum.
   if (tally_.bs_queue_wait_sum_s != stats.bs_queue_wait_sum_s)

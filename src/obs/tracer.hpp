@@ -18,12 +18,14 @@
 
 #include "obs/registry.hpp"
 #include "sim/observer.hpp"
+#include "sim/schema.hpp"
 #include "sim/simulator.hpp"
 
 #include <array>
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace rem::obs {
@@ -88,18 +90,22 @@ class SpanTracer : public sim::SimObserver {
   void on_ue(int ue) override;
   void on_event(const sim::SignalingEvent& event) override;
   void on_tick(const sim::TickView& view) override;
-  /// Closes dangling spans as "unfinished" and records the per-cause
-  /// failure counters (`sim.failure_cause.*`), which exist only in
-  /// SimStats — reconcile() independently cross-checks the totals.
+  /// Closes dangling spans as "unfinished" and publishes the counters:
+  /// one per sim::kEventTable row with a counter name, the span-derived
+  /// `sim.reestablished`, the `sim.cascade.jobs_injected` payload sum,
+  /// and the per-cause failure counters (`sim.failure_cause.*`), which
+  /// exist only in SimStats — reconcile() independently cross-checks the
+  /// totals.
   void on_run_end(sim::SimStats& stats) override;
 
   /// All closed spans, in close order. Complete only after on_run_end.
   const std::vector<Span>& spans() const { return spans_; }
 
   /// Cross-check the reassembled spans against the simulator's own
-  /// statistics: handover attempts/completions, failure totals and
-  /// per-cause splits, outage count and exact duration sum, latency
-  /// histogram count, retransmit/duplicate/degraded counters. Returns one
+  /// statistics: every sim::kEventTable row's SimStats counter against
+  /// that kind's event count, failure totals and per-cause splits, outage
+  /// count and exact duration sum, latency histogram count, and the
+  /// payload sums (prep RTT, BS queue wait, cascade jobs). Returns one
   /// human-readable line per mismatch; empty means trace and stats agree
   /// exactly. Precondition: on_run_end has fired for this run.
   std::vector<std::string> reconcile(const sim::SimStats& stats) const;
@@ -115,6 +121,10 @@ class SpanTracer : public sim::SimObserver {
   void note_fault(std::size_t kind_index);
   void close_handover(double t, const std::string& outcome);
   void close_outage(double t, const std::string& outcome);
+  /// Record `v` into histogram `name`, registering it into `*slot` on
+  /// first use. Precondition: registry_ != nullptr.
+  void record(Histogram*& slot, const char* name,
+              const std::vector<double>& buckets, double v);
 
   Registry* registry_;
   int ue_ = -1;  ///< attributed UE in fleet runs; -1 until on_ue fires
@@ -128,25 +138,25 @@ class SpanTracer : public sim::SimObserver {
   double max_estimate_age_s_ = 0.0;
   double last_tick_s_ = 0.0;
   bool run_ended_ = false;
-  // Independent tallies for reconcile(), kept even without a registry.
+  // Independent tallies for reconcile(), kept even without a registry:
+  // one count per event kind plus the payload sums and span-derived
+  // counts the event table cannot express.
   struct Tally {
-    std::uint64_t triggered = 0, report_delivered = 0, report_lost = 0,
-                  attempts = 0, command_lost = 0, complete = 0, rlf = 0,
-                  t304_expiry = 0, reestablished = 0, retransmits = 0,
-                  duplicates = 0, degraded_enters = 0, fault_windows = 0;
-    std::uint64_t prep_requests = 0, prep_retries = 0, prep_acks = 0,
-                  prep_rejects = 0, prep_fallbacks = 0, prep_failures = 0,
-                  ctx_fetch_failures = 0;
-    std::uint64_t bs_jobs_done = 0, bs_queue_sheds = 0,
-                  admission_rejects = 0, admission_retries = 0,
-                  bs_crashes = 0, bs_restarts = 0, stale_ctx_responses = 0;
-    std::uint64_t cascade_activations = 0, cascade_jobs = 0,
-                  breaker_trips = 0, breaker_probes = 0, breaker_closes = 0;
+    std::array<std::uint64_t, sim::kNumEventKinds> count{};
     double bs_queue_wait_sum_s = 0.0;
     double prep_rtt_sum_s = 0.0;
     double outage_sum_s = 0.0;
-    std::uint64_t latency_count = 0;
+    std::uint64_t cascade_jobs = 0;
+    std::uint64_t reestablished = 0;  ///< outage spans closed by camping
+    std::uint64_t latency_count = 0;  ///< handover spans that completed
   } tally_;
+  // Histograms, registered on first record and cached.
+  Histogram* prep_rtt_hist_ = nullptr;
+  Histogram* queue_wait_hist_ = nullptr;
+  Histogram* out_of_sync_hist_ = nullptr;
+  Histogram* latency_hist_ = nullptr;
+  Histogram* outage_hist_ = nullptr;
+  std::vector<std::pair<std::string, Histogram*>> phase_hists_;
 };
 
 }  // namespace rem::obs

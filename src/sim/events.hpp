@@ -8,6 +8,8 @@
 
 namespace rem::sim {
 
+/// Each kind has one row in sim::kEventTable (sim/schema.hpp). Append new
+/// kinds at the end: the golden corpus hashes the numeric values.
 enum class EventKind {
   kMeasurementTriggered,  ///< policy fired, feedback generation started
   kReportDelivered,       ///< measurement report reached the base station
@@ -53,9 +55,13 @@ enum class EventKind {
                           ///< (target_cell = target)
 };
 
-/// Stable identifier used in CSV logs. Throws std::invalid_argument on a
+/// Stable identifier used in CSV logs (the token column of
+/// sim::kEventTable, sim/schema.hpp). Throws std::invalid_argument on a
 /// value outside the enum instead of returning a placeholder.
 std::string event_kind_name(EventKind k);
+/// Inverse of event_kind_name. Throws std::invalid_argument on a token no
+/// kind carries.
+EventKind event_kind_from_name(const std::string& name);
 
 struct SignalingEvent {
   double t_s = 0.0;

@@ -1,5 +1,7 @@
 #include "sim/fleet.hpp"
 
+#include "sim/schema.hpp"
+
 #include <algorithm>
 #include <stdexcept>
 
@@ -21,98 +23,62 @@ EventLog merge_fleet_events(const std::vector<SimStats>& per_ue) {
   return merged;
 }
 
+namespace {
+
+/// Fold one scalar field over the per-UE stats in UE order, under its
+/// kStatsTable merge rule.
+template <class T>
+T merge_field(MergeRule rule, const std::vector<SimStats>& per_ue,
+              T SimStats::*field) {
+  T acc{};
+  int set = 0;
+  for (const auto& s : per_ue) {
+    const T v = s.*field;
+    switch (rule) {
+      case MergeRule::kSum:
+      case MergeRule::kMean:
+        acc += v;
+        break;
+      case MergeRule::kMax:
+      case MergeRule::kGlobal:
+        acc = std::max(acc, v);
+        break;
+      case MergeRule::kMeanSet:
+        if (v > T{}) {
+          acc += v;
+          ++set;
+        }
+        break;
+    }
+  }
+  if (rule == MergeRule::kMean)
+    return static_cast<T>(acc / static_cast<double>(per_ue.size()));
+  if (rule == MergeRule::kMeanSet)
+    return set > 0 ? static_cast<T>(acc / static_cast<double>(set)) : T{};
+  return acc;
+}
+
+void append(std::vector<double>& to, const std::vector<double>& from) {
+  to.insert(to.end(), from.begin(), from.end());
+}
+
+}  // namespace
+
 SimStats merge_fleet_stats(const std::vector<SimStats>& per_ue) {
   if (per_ue.empty())
     throw std::invalid_argument("merge_fleet_stats: no per-UE stats");
   SimStats agg;
-  double interval_sum = 0.0;
-  int interval_n = 0;
+  for (const auto& row : kStatsTable)
+    std::visit(
+        [&](auto field) { agg.*field = merge_field(row.merge, per_ue, field); },
+        row.field);
   for (const auto& s : per_ue) {
-    agg.sim_time_s = std::max(agg.sim_time_s, s.sim_time_s);
-    agg.handovers += s.handovers;
-    agg.successful_handovers += s.successful_handovers;
-    agg.failures += s.failures;
     for (const auto& [cause, n] : s.failures_by_cause)
       agg.failures_by_cause[cause] += n;
-    agg.loop_handovers += s.loop_handovers;
-    agg.loop_episodes += s.loop_episodes;
-    agg.intra_freq_loop_episodes += s.intra_freq_loop_episodes;
-    agg.conflict_loop_episodes += s.conflict_loop_episodes;
-    agg.conflict_loop_handovers += s.conflict_loop_handovers;
-    agg.intra_freq_conflict_loops += s.intra_freq_conflict_loops;
-    if (s.avg_handover_interval_s > 0.0) {
-      interval_sum += s.avg_handover_interval_s;
-      ++interval_n;
-    }
-    agg.outage_durations_s.insert(agg.outage_durations_s.end(),
-                                  s.outage_durations_s.begin(),
-                                  s.outage_durations_s.end());
-    agg.feedback_delays_s.insert(agg.feedback_delays_s.end(),
-                                 s.feedback_delays_s.begin(),
-                                 s.feedback_delays_s.end());
-    agg.report_retransmits += s.report_retransmits;
-    agg.t304_expiries += s.t304_expiries;
-    agg.t304_fallback_success += s.t304_fallback_success;
-    agg.duplicate_commands += s.duplicate_commands;
-    agg.degraded_enters += s.degraded_enters;
-    agg.degraded_time_s += s.degraded_time_s;
-    agg.prep_requests += s.prep_requests;
-    agg.prep_retries += s.prep_retries;
-    agg.prep_acks += s.prep_acks;
-    agg.prep_rejects += s.prep_rejects;
-    agg.prep_fallbacks += s.prep_fallbacks;
-    agg.prep_failures += s.prep_failures;
-    agg.prep_rtt_sum_s += s.prep_rtt_sum_s;
-    agg.context_fetch_failures += s.context_fetch_failures;
-    agg.backhaul_sent += s.backhaul_sent;
-    agg.backhaul_delivered += s.backhaul_delivered;
-    agg.backhaul_dropped_loss += s.backhaul_dropped_loss;
-    agg.backhaul_dropped_partition += s.backhaul_dropped_partition;
-    agg.backhaul_dropped_queue += s.backhaul_dropped_queue;
-    agg.backhaul_dropped_crash += s.backhaul_dropped_crash;
-    agg.backhaul_duplicated += s.backhaul_duplicated;
-    agg.backhaul_reordered += s.backhaul_reordered;
-    agg.backhaul_latency_sum_s += s.backhaul_latency_sum_s;
-    agg.bs_jobs_submitted += s.bs_jobs_submitted;
-    agg.bs_jobs_served += s.bs_jobs_served;
-    agg.bs_jobs_queued += s.bs_jobs_queued;
-    agg.bs_queue_shed += s.bs_queue_shed;
-    agg.bs_jobs_flushed += s.bs_jobs_flushed;
-    agg.bs_jobs_inflight_end += s.bs_jobs_inflight_end;
-    agg.bs_queue_wait_sum_s += s.bs_queue_wait_sum_s;
-    agg.admission_rejects += s.admission_rejects;
-    agg.admission_backoff_retries += s.admission_backoff_retries;
-    // Crash windows are global: every UE counts the same windows, so the
-    // fleet total is the per-UE count, not the sum.
-    agg.bs_crashes = std::max(agg.bs_crashes, s.bs_crashes);
-    agg.bs_crash_dropped_msgs += s.bs_crash_dropped_msgs;
-    agg.stale_context_responses += s.stale_context_responses;
-    // Cascade events are world-global like crashes (every UE counts the
-    // same injections); breaker/load-ad counters are genuinely per-UE.
-    agg.cascade_jobs_injected =
-        std::max(agg.cascade_jobs_injected, s.cascade_jobs_injected);
-    agg.cascade_activations =
-        std::max(agg.cascade_activations, s.cascade_activations);
-    agg.breaker_trips += s.breaker_trips;
-    agg.breaker_probes += s.breaker_probes;
-    agg.breaker_closes += s.breaker_closes;
-    agg.breaker_skips += s.breaker_skips;
-    agg.load_ads_received += s.load_ads_received;
-    agg.storm_jitter_applied += s.storm_jitter_applied;
-    agg.load_ad_age_max_s =
-        std::max(agg.load_ad_age_max_s, s.load_ad_age_max_s);
-    agg.mean_throughput_bps += s.mean_throughput_bps;
-    agg.downtime_fraction += s.downtime_fraction;
-    agg.pre_failure_snrs_db.insert(agg.pre_failure_snrs_db.end(),
-                                   s.pre_failure_snrs_db.begin(),
-                                   s.pre_failure_snrs_db.end());
-    agg.invariant_violations += s.invariant_violations;
+    append(agg.outage_durations_s, s.outage_durations_s);
+    append(agg.feedback_delays_s, s.feedback_delays_s);
+    append(agg.pre_failure_snrs_db, s.pre_failure_snrs_db);
   }
-  const auto n = static_cast<double>(per_ue.size());
-  agg.mean_throughput_bps /= n;
-  agg.downtime_fraction /= n;
-  agg.avg_handover_interval_s =
-      interval_n > 0 ? interval_sum / static_cast<double>(interval_n) : 0.0;
   agg.events = merge_fleet_events(per_ue);
   return agg;
 }

@@ -3,18 +3,9 @@
 // A fleet run produces one SimStats per UE (indexed by UE id); the
 // aggregate is a pure fold over that vector in UE-id order, so it is
 // reproducible run-to-run and thread-count-independent by construction.
-// Field semantics:
-//   - additive counters (handovers, failures, signaling/backhaul/BS-job
-//     counters, degraded time, invariant violations) sum across UEs;
+// Scalar fields fold under their sim::kStatsTable merge rule
+// (sim/schema.hpp: sum, max, mean, mean-over-set or global). The rest:
 //   - failures_by_cause sums per cause;
-//   - global-window counters (bs_crashes) take the max: every UE observes
-//     the same crash windows, so summing would multiply-count them;
-//   - sim_time_s takes the max (all UEs share the horizon);
-//   - mean_throughput_bps and downtime_fraction average over UEs
-//     (per-UE means over the same tick count, so the mean of means is the
-//     fleet mean);
-//   - avg_handover_interval_s averages the per-UE values that are set
-//     (UEs with fewer than two handovers report 0 and are excluded);
 //   - sample vectors (outage durations, feedback delays, pre-failure
 //     SNRs) concatenate in UE order;
 //   - events merge into one time-sorted log, UE order breaking ties, via
@@ -34,7 +25,7 @@ namespace rem::sim {
 EventLog merge_fleet_events(const std::vector<SimStats>& per_ue);
 
 /// Fold per-UE stats (indexed by UE id) into the fleet aggregate under
-/// the field rules above. Throws std::invalid_argument on an empty input.
+/// the rules above. Throws std::invalid_argument on an empty input.
 SimStats merge_fleet_stats(const std::vector<SimStats>& per_ue);
 
 }  // namespace rem::sim

@@ -6,6 +6,7 @@
 #include "core/circuit_breaker.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/fleet.hpp"
+#include "sim/schema.hpp"
 
 #include <algorithm>
 #include <array>
@@ -1551,43 +1552,16 @@ TickEmit::~TickEmit() {
 }  // namespace
 
 std::string event_kind_name(EventKind k) {
-  switch (k) {
-    case EventKind::kMeasurementTriggered: return "measurement_triggered";
-    case EventKind::kReportDelivered: return "report_delivered";
-    case EventKind::kReportLost: return "report_lost";
-    case EventKind::kHoCommandDelivered: return "ho_command_delivered";
-    case EventKind::kHoCommandLost: return "ho_command_lost";
-    case EventKind::kHandoverComplete: return "handover_complete";
-    case EventKind::kRadioLinkFailure: return "radio_link_failure";
-    case EventKind::kReestablished: return "reestablished";
-    case EventKind::kFaultStart: return "fault_start";
-    case EventKind::kFaultEnd: return "fault_end";
-    case EventKind::kReportRetransmit: return "report_retransmit";
-    case EventKind::kT304Expiry: return "t304_expiry";
-    case EventKind::kHoCommandDuplicate: return "ho_command_duplicate";
-    case EventKind::kDegradedEnter: return "degraded_enter";
-    case EventKind::kDegradedExit: return "degraded_exit";
-    case EventKind::kPrepRequest: return "prep_request";
-    case EventKind::kPrepRetry: return "prep_retry";
-    case EventKind::kPrepAck: return "prep_ack";
-    case EventKind::kPrepReject: return "prep_reject";
-    case EventKind::kPrepFallback: return "prep_fallback";
-    case EventKind::kPrepFailed: return "prep_failed";
-    case EventKind::kContextFetchFailed: return "context_fetch_failed";
-    case EventKind::kBsQueueShed: return "bs_queue_shed";
-    case EventKind::kBsJobDone: return "bs_job_done";
-    case EventKind::kAdmissionReject: return "admission_reject";
-    case EventKind::kAdmissionRetry: return "admission_retry";
-    case EventKind::kBsCrash: return "bs_crash";
-    case EventKind::kBsRestart: return "bs_restart";
-    case EventKind::kContextStale: return "context_stale";
-    case EventKind::kCascadeInject: return "cascade_inject";
-    case EventKind::kBreakerTrip: return "breaker_trip";
-    case EventKind::kBreakerProbe: return "breaker_probe";
-    case EventKind::kBreakerClose: return "breaker_close";
-  }
-  throw std::invalid_argument("event_kind_name: invalid EventKind value " +
-                              std::to_string(static_cast<int>(k)));
+  if (event_index(k) >= kNumEventKinds)
+    throw std::invalid_argument("event_kind_name: invalid EventKind value " +
+                                std::to_string(static_cast<int>(k)));
+  return kEventTable[event_index(k)].token;
+}
+
+EventKind event_kind_from_name(const std::string& name) {
+  for (const auto& row : kEventTable)
+    if (name == row.token) return row.kind;
+  throw std::invalid_argument("unknown event kind '" + name + "'");
 }
 
 std::string failure_cause_name(FailureCause c) {

@@ -1,5 +1,7 @@
 #include "testkit/golden.hpp"
 
+#include "sim/schema.hpp"
+
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -7,6 +9,8 @@
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
+#include <type_traits>
+#include <variant>
 
 namespace rem::testkit {
 namespace {
@@ -31,86 +35,33 @@ void append_stats_fields(const std::string& prefix, const sim::SimStats& s,
   auto put = [&](const std::string& k, std::string v) {
     d.fields.emplace_back(prefix + k, std::move(v));
   };
-  put("handovers", fmt_int(s.handovers));
-  put("successful_handovers", fmt_int(s.successful_handovers));
-  put("failures", fmt_int(s.failures));
-  const auto cause = [&](sim::FailureCause c) {
-    const auto it = s.failures_by_cause.find(c);
-    return fmt_int(it != s.failures_by_cause.end() ? it->second : 0);
+  const auto text = [](auto v) {
+    if constexpr (std::is_floating_point_v<decltype(v)>)
+      return fmt_double(v);
+    else
+      return fmt_int(static_cast<long long>(v));
   };
-  put("failures.feedback", cause(sim::FailureCause::kFeedbackDelayLoss));
-  put("failures.missed_cell", cause(sim::FailureCause::kMissedCell));
-  put("failures.cmd_loss", cause(sim::FailureCause::kHoCommandLoss));
-  put("failures.hole", cause(sim::FailureCause::kCoverageHole));
-  put("loop_handovers", fmt_int(s.loop_handovers));
-  put("loop_episodes", fmt_int(s.loop_episodes));
-  put("intra_freq_loop_episodes", fmt_int(s.intra_freq_loop_episodes));
-  put("conflict_loop_episodes", fmt_int(s.conflict_loop_episodes));
-  put("conflict_loop_handovers", fmt_int(s.conflict_loop_handovers));
-  put("t304_expiries", fmt_int(s.t304_expiries));
-  put("t304_fallback_success", fmt_int(s.t304_fallback_success));
-  put("report_retransmits", fmt_int(s.report_retransmits));
-  put("duplicate_commands", fmt_int(s.duplicate_commands));
-  put("prep_requests", fmt_int(s.prep_requests));
-  put("prep_retries", fmt_int(s.prep_retries));
-  put("prep_acks", fmt_int(s.prep_acks));
-  put("prep_rejects", fmt_int(s.prep_rejects));
-  put("prep_fallbacks", fmt_int(s.prep_fallbacks));
-  put("prep_failures", fmt_int(s.prep_failures));
-  put("prep_rtt_sum_s", fmt_double(s.prep_rtt_sum_s));
-  put("context_fetch_failures", fmt_int(s.context_fetch_failures));
-  put("backhaul_sent", fmt_int(static_cast<long long>(s.backhaul_sent)));
-  put("backhaul_delivered",
-      fmt_int(static_cast<long long>(s.backhaul_delivered)));
-  put("backhaul_dropped_loss",
-      fmt_int(static_cast<long long>(s.backhaul_dropped_loss)));
-  put("backhaul_dropped_partition",
-      fmt_int(static_cast<long long>(s.backhaul_dropped_partition)));
-  put("backhaul_dropped_queue",
-      fmt_int(static_cast<long long>(s.backhaul_dropped_queue)));
-  put("backhaul_dropped_crash",
-      fmt_int(static_cast<long long>(s.backhaul_dropped_crash)));
-  put("backhaul_duplicated",
-      fmt_int(static_cast<long long>(s.backhaul_duplicated)));
-  put("backhaul_reordered",
-      fmt_int(static_cast<long long>(s.backhaul_reordered)));
-  put("backhaul_latency_sum_s", fmt_double(s.backhaul_latency_sum_s));
-  put("bs_jobs_submitted", fmt_int(s.bs_jobs_submitted));
-  put("bs_jobs_served", fmt_int(s.bs_jobs_served));
-  put("bs_jobs_queued", fmt_int(s.bs_jobs_queued));
-  put("bs_queue_shed", fmt_int(s.bs_queue_shed));
-  put("bs_jobs_flushed", fmt_int(s.bs_jobs_flushed));
-  put("bs_jobs_inflight_end", fmt_int(s.bs_jobs_inflight_end));
-  put("bs_queue_wait_sum_s", fmt_double(s.bs_queue_wait_sum_s));
-  put("admission_rejects", fmt_int(s.admission_rejects));
-  put("admission_backoff_retries", fmt_int(s.admission_backoff_retries));
-  put("bs_crashes", fmt_int(s.bs_crashes));
-  put("bs_crash_dropped_msgs", fmt_int(s.bs_crash_dropped_msgs));
-  put("stale_context_responses", fmt_int(s.stale_context_responses));
-  // Cascade-resilience counters are emitted only when non-zero so the
-  // pre-existing corpus stays byte-identical: a case that never schedules
-  // region_outage/cascade_overload or arms the resilience knobs digests
-  // exactly as it did before those counters existed.
-  if (s.cascade_jobs_injected != 0)
-    put("cascade_jobs_injected", fmt_int(s.cascade_jobs_injected));
-  if (s.cascade_activations != 0)
-    put("cascade_activations", fmt_int(s.cascade_activations));
-  if (s.breaker_trips != 0) put("breaker_trips", fmt_int(s.breaker_trips));
-  if (s.breaker_probes != 0) put("breaker_probes", fmt_int(s.breaker_probes));
-  if (s.breaker_closes != 0) put("breaker_closes", fmt_int(s.breaker_closes));
-  if (s.breaker_skips != 0) put("breaker_skips", fmt_int(s.breaker_skips));
-  if (s.load_ads_received != 0)
-    put("load_ads_received", fmt_int(s.load_ads_received));
-  if (s.storm_jitter_applied != 0)
-    put("storm_jitter_applied", fmt_int(s.storm_jitter_applied));
-  if (s.load_ad_age_max_s != 0.0)
-    put("load_ad_age_max_s", fmt_double(s.load_ad_age_max_s));
-  put("degraded_enters", fmt_int(s.degraded_enters));
-  put("degraded_time_s", fmt_double(s.degraded_time_s));
-  put("avg_handover_interval_s", fmt_double(s.avg_handover_interval_s));
-  put("mean_throughput_bps", fmt_double(s.mean_throughput_bps));
-  put("downtime_fraction", fmt_double(s.downtime_fraction));
-  put("invariant_violations", fmt_int(s.invariant_violations));
+  for (const auto& row : sim::kStatsTable) {
+    std::visit(
+        [&](auto field) {
+          const auto v = s.*field;
+          if (row.digest == sim::DigestEmit::kAlways ||
+              (row.digest == sim::DigestEmit::kNonZero && v != 0))
+            put(row.name, text(v));
+        },
+        row.field);
+    // The Table 2 split follows its total.
+    if (row.field == sim::StatsField{&sim::SimStats::failures}) {
+      const auto cause = [&](sim::FailureCause c) {
+        const auto it = s.failures_by_cause.find(c);
+        return fmt_int(it != s.failures_by_cause.end() ? it->second : 0);
+      };
+      put("failures.feedback", cause(sim::FailureCause::kFeedbackDelayLoss));
+      put("failures.missed_cell", cause(sim::FailureCause::kMissedCell));
+      put("failures.cmd_loss", cause(sim::FailureCause::kHoCommandLoss));
+      put("failures.hole", cause(sim::FailureCause::kCoverageHole));
+    }
+  }
   put("outage_count", fmt_int(static_cast<long long>(
                           s.outage_durations_s.size())));
   double outage_sum = 0.0;
@@ -358,8 +309,10 @@ TraceDigest make_fleet_digest(const FleetGoldenCase& c,
     for (std::size_t k = 0; k < r.per_ue.size(); ++k) {
       const auto& s = r.per_ue[k];
       const std::string ue = prefix + "ue" + std::to_string(k) + ".";
-      d.fields.emplace_back(ue + "handovers", fmt_int(s.handovers));
-      d.fields.emplace_back(ue + "failures", fmt_int(s.failures));
+      for (const auto field : {&sim::SimStats::handovers,
+                               &sim::SimStats::failures})
+        d.fields.emplace_back(ue + sim::stats_name(field),
+                              fmt_int(s.*field));
       d.fields.emplace_back(ue + "event_hash",
                             fmt_hex(hash_event_log(s.events)));
     }

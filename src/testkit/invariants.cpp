@@ -1,12 +1,15 @@
 #include "testkit/invariants.hpp"
 
+#include "sim/schema.hpp"
 #include "sim/tcp.hpp"
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <iomanip>
+#include <limits>
 #include <sstream>
+#include <type_traits>
+#include <variant>
 
 namespace rem::testkit {
 namespace {
@@ -14,6 +17,18 @@ namespace {
 /// Slack for timer-duration comparisons: `t` accumulates via repeated
 /// `t += dt`, so durations carry a few ULP of drift per thousand ticks.
 constexpr double kTimeEps = 1e-6;
+
+/// Exact text of a counter value for violation messages.
+template <class T>
+std::string num_text(T v) {
+  if constexpr (std::is_floating_point_v<T>) {
+    std::ostringstream os;
+    os << std::setprecision(std::numeric_limits<T>::max_digits10) << v;
+    return os.str();
+  } else {
+    return std::to_string(v);
+  }
+}
 
 }  // namespace
 
@@ -56,6 +71,8 @@ void InvariantChecker::on_tick(const sim::TickView& v) {
 void InvariantChecker::check_event(const sim::SignalingEvent& e) {
   using sim::EventKind;
   const double t = e.t_s;
+  if (sim::event_index(e.kind) < sim::kNumEventKinds)
+    ++event_counts_[sim::event_index(e.kind)];
 
   // Timestamps never go backwards within the event stream, and no event
   // may carry a timestamp at or before the last completed tick.
@@ -109,13 +126,11 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
     case EventKind::kReportRetransmit:
       if (outage_open_ || exec_open_)
         violate(t, "report retransmit outside a live idle link");
-      ++report_retransmits_;
       break;
 
     case EventKind::kHoCommandDuplicate:
       if (outage_open_ || exec_open_)
         violate(t, "duplicate command outside a live idle link");
-      ++duplicate_commands_;
       break;
 
     case EventKind::kHoCommandDelivered:
@@ -226,12 +241,10 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
       break;
 
     case EventKind::kFaultStart:
-      ++fault_starts_;
       if (!cfg_.faults_expected)
         violate(t, "fault window opened on a fault-free run");
       break;
     case EventKind::kFaultEnd:
-      ++fault_ends_;
       if (!cfg_.faults_expected)
         violate(t, "fault window closed on a fault-free run");
       break;
@@ -264,7 +277,6 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
         violate(t, "HANDOVER REQUEST with the backhaul transport disabled");
       prep_open_ = true;
       prep_retries_this_attempt_ = 0;
-      ++prep_requests_;
       break;
 
     case EventKind::kPrepRetry:
@@ -272,7 +284,6 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
         violate(t, "prep retry outside a live idle link");
       if (!prep_open_)
         violate(t, "prep retry without an outstanding HANDOVER REQUEST");
-      ++prep_retries_;
       if (++prep_retries_this_attempt_ > cfg_.sim.prep_max_retries)
         violate(t, "prep retry storm: " +
                        std::to_string(prep_retries_this_attempt_) +
@@ -300,7 +311,6 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
                        "s one-way)");
       prep_open_ = false;
       prep_acked_ = true;
-      ++prep_acks_;
       break;
 
     case EventKind::kPrepReject:
@@ -308,7 +318,6 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
         violate(t, "prep reject outside a live idle link");
       if (!prep_open_)
         violate(t, "prep reject without an outstanding HANDOVER REQUEST");
-      ++prep_rejects_;
       break;
 
     case EventKind::kPrepFallback:
@@ -316,7 +325,6 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
         violate(t, "prep fallback outside a live idle link");
       if (!prep_open_)
         violate(t, "prep fallback without an outstanding HANDOVER REQUEST");
-      ++prep_fallbacks_;
       prep_retries_this_attempt_ = 0;
       break;
 
@@ -326,13 +334,11 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
       if (!prep_open_)
         violate(t, "prep failure without an outstanding HANDOVER REQUEST");
       prep_open_ = false;
-      ++prep_failures_;
       break;
 
     case EventKind::kContextFetchFailed:
       if (!outage_open_)
         violate(t, "context-fetch failure outside an outage");
-      ++ctx_fetch_failures_;
       break;
 
     case EventKind::kBsQueueShed:
@@ -343,7 +349,6 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
       if (e.serving_snr_db < 0.0 || e.serving_snr_db > 1.0 + kTimeEps)
         violate(t, "shed event load " + std::to_string(e.serving_snr_db) +
                        " outside [0, 1]");
-      ++bs_queue_sheds_;
       break;
 
     case EventKind::kBsJobDone:
@@ -353,7 +358,6 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
       if (e.serving_snr_db < 0.0)
         violate(t, "negative BS queue wait " +
                        std::to_string(e.serving_snr_db) + "s");
-      ++bs_jobs_done_;
       if (e.serving_snr_db > 0.0) ++bs_jobs_queued_;
       bs_queue_wait_sum_s_ += e.serving_snr_db;
       break;
@@ -371,7 +375,6 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
       if (e.serving_snr_db < 0.0)
         violate(t, "negative admission backoff hint " +
                        std::to_string(e.serving_snr_db) + "s");
-      ++admission_rejects_;
       break;
 
     case EventKind::kAdmissionRetry:
@@ -384,7 +387,6 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
                    "HANDOVER REQUEST");
       prep_open_ = false;
       prep_retries_this_attempt_ = 0;
-      ++admission_retries_;
       break;
 
     case EventKind::kBsCrash:
@@ -400,7 +402,6 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
         violate(t, "BS crash for cell " + std::to_string(e.target_cell) +
                        " that is already down");
       crashed_cells_.insert(e.target_cell);
-      ++bs_crashes_;
       break;
 
     case EventKind::kBsRestart:
@@ -408,7 +409,6 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
         violate(t, "BS restart for cell " + std::to_string(e.target_cell) +
                        " that was never crashed");
       crashed_cells_.erase(e.target_cell);
-      ++bs_restarts_;
       break;
 
     case EventKind::kContextStale:
@@ -418,7 +418,6 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
         violate(t, "stale-context response outside an outage");
       if (!cfg_.faults_expected)
         violate(t, "stale-context response on a fault-free run");
-      ++stale_ctx_responses_;
       break;
 
     case EventKind::kCascadeInject:
@@ -435,7 +434,6 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
       if (crashed_cells_.count(e.target_cell) > 0)
         violate(t, "cascade injection into dead BS " +
                        std::to_string(e.target_cell));
-      ++cascade_injects_;
       cascade_jobs_ += static_cast<long long>(e.serving_snr_db);
       break;
 
@@ -450,7 +448,6 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
                        " that is already open");
       st = 1;
       ++breakers_open_mirror_;
-      ++breaker_trips_;
       break;
     }
 
@@ -466,7 +463,6 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
       else
         --breakers_open_mirror_;
       st = 2;
-      ++breaker_probes_;
       break;
     }
 
@@ -479,7 +475,6 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
         violate(t, "breaker close for cell " + std::to_string(e.target_cell) +
                        " without a probe in flight");
       st = 0;
-      ++breaker_closes_;
       break;
     }
   }
@@ -624,6 +619,7 @@ void InvariantChecker::check_tick(const sim::TickView& v) {
 }
 
 void InvariantChecker::on_run_end(sim::SimStats& stats) {
+  using sim::EventKind;
   const double t_end = cfg_.sim.duration_s;
   const auto expect_eq = [&](long long got, long long want,
                              const std::string& what) {
@@ -632,16 +628,16 @@ void InvariantChecker::on_run_end(sim::SimStats& stats) {
                          std::to_string(want));
   };
 
+  // --- Plain event counts: every kEventTable row with a SimStats column ---
+  for (const auto& row : sim::kEventTable)
+    if (row.stat != nullptr)
+      expect_eq(stats.*row.stat, event_counts_[sim::event_index(row.kind)],
+                std::string("SimStats::") + sim::stats_name(row.stat) +
+                    " vs " + row.token + " events");
+
   // --- Handover conservation ---
-  // Every attempt the stats report was a delivered command the checker
-  // saw, and every delivered command closed as exactly one completion or
-  // T304 expiry (or is still in flight at the horizon).
-  expect_eq(stats.handovers, commands_delivered_,
-            "SimStats::handovers vs delivered commands");
-  expect_eq(stats.successful_handovers, completions_,
-            "SimStats::successful_handovers vs completions");
-  expect_eq(stats.t304_expiries, t304_expiries_,
-            "SimStats::t304_expiries vs T304 events");
+  // Every delivered command closed as exactly one completion or T304
+  // expiry (or is still in flight at the horizon).
   expect_eq(stats.failures, rlf_events_ + t304_expiries_,
             "SimStats::failures vs RLF + T304 events");
   expect_eq(commands_delivered_,
@@ -654,53 +650,34 @@ void InvariantChecker::on_run_end(sim::SimStats& stats) {
             "outage)");
   expect_eq(static_cast<long long>(stats.outage_durations_s.size()),
             reestablished_, "outage duration samples vs re-establishments");
-  expect_eq(stats.report_retransmits, report_retransmits_,
-            "SimStats::report_retransmits vs retransmit events");
-  expect_eq(stats.duplicate_commands, duplicate_commands_,
-            "SimStats::duplicate_commands vs duplicate events");
-  expect_eq(stats.degraded_enters, degraded_enters_,
-            "SimStats::degraded_enters vs enter events");
   if (degraded_enters_ - degraded_exits_ != 0 &&
       degraded_enters_ - degraded_exits_ != 1)
     violate(t_end, "unbalanced degraded enter/exit events (enters=" +
                        std::to_string(degraded_enters_) + " exits=" +
                        std::to_string(degraded_exits_) + ")");
-  if (fault_starts_ < fault_ends_)
+  if (count(EventKind::kFaultStart) < count(EventKind::kFaultEnd))
     violate(t_end, "more fault-window closes than opens");
 
   // --- Backhaul preparation conservation ---
-  expect_eq(stats.prep_requests, prep_requests_,
-            "SimStats::prep_requests vs prep-request events");
-  expect_eq(stats.prep_retries, prep_retries_,
-            "SimStats::prep_retries vs prep-retry events");
-  expect_eq(stats.prep_acks, prep_acks_,
-            "SimStats::prep_acks vs prep-ack events");
-  expect_eq(stats.prep_rejects, prep_rejects_,
-            "SimStats::prep_rejects vs prep-reject events");
-  expect_eq(stats.prep_fallbacks, prep_fallbacks_,
-            "SimStats::prep_fallbacks vs prep-fallback events");
-  expect_eq(stats.prep_failures, prep_failures_,
-            "SimStats::prep_failures vs prep-failure events");
-  expect_eq(stats.context_fetch_failures, ctx_fetch_failures_,
-            "SimStats::context_fetch_failures vs context-fetch events");
   if (cfg_.sim.backhaul.enabled) {
+    const int requests = count(EventKind::kPrepRequest);
+    const int retries = count(EventKind::kPrepRetry);
+    const int acks = count(EventKind::kPrepAck);
+    const int outcomes = acks + count(EventKind::kPrepReject);
     // Every delivered command rode an ack, and every ack/reject answers a
     // request the source actually put on the wire (original or retry).
-    if (commands_delivered_ > prep_acks_)
+    if (commands_delivered_ > acks)
       violate(t_end, "more delivered commands (" +
                          std::to_string(commands_delivered_) +
-                         ") than prep acks (" + std::to_string(prep_acks_) +
-                         ")");
-    if (prep_acks_ + prep_rejects_ > prep_requests_ + prep_retries_)
-      violate(t_end, "more prep outcomes (" +
-                         std::to_string(prep_acks_ + prep_rejects_) +
+                         ") than prep acks (" + std::to_string(acks) + ")");
+    if (outcomes > requests + retries)
+      violate(t_end, "more prep outcomes (" + std::to_string(outcomes) +
                          ") than requests sent (" +
-                         std::to_string(prep_requests_ + prep_retries_) + ")");
+                         std::to_string(requests + retries) + ")");
     // Retry-storm bound: the backoff budget caps total resends.
-    if (prep_retries_ >
-        prep_requests_ * std::max(cfg_.sim.prep_max_retries, 0))
-      violate(t_end, "prep retry storm: " + std::to_string(prep_retries_) +
-                         " retries for " + std::to_string(prep_requests_) +
+    if (retries > requests * std::max(cfg_.sim.prep_max_retries, 0))
+      violate(t_end, "prep retry storm: " + std::to_string(retries) +
+                         " retries for " + std::to_string(requests) +
                          " requests (budget " +
                          std::to_string(cfg_.sim.prep_max_retries) +
                          " per attempt)");
@@ -721,24 +698,12 @@ void InvariantChecker::on_run_end(sim::SimStats& stats) {
   }
 
   // --- BS capacity conservation ---
-  expect_eq(stats.bs_jobs_served, bs_jobs_done_,
-            "SimStats::bs_jobs_served vs job-done events");
   expect_eq(stats.bs_jobs_queued, bs_jobs_queued_,
             "SimStats::bs_jobs_queued vs job-done events with queue wait");
-  expect_eq(stats.bs_queue_shed, bs_queue_sheds_,
-            "SimStats::bs_queue_shed vs shed events");
-  expect_eq(stats.admission_rejects, admission_rejects_,
-            "SimStats::admission_rejects vs busy-reject events");
-  expect_eq(stats.admission_backoff_retries, admission_retries_,
-            "SimStats::admission_backoff_retries vs backoff events");
-  expect_eq(stats.bs_crashes, bs_crashes_,
-            "SimStats::bs_crashes vs crash events");
-  expect_eq(stats.stale_context_responses, stale_ctx_responses_,
-            "SimStats::stale_context_responses vs stale-context events");
-  if (bs_restarts_ > bs_crashes_)
-    violate(t_end, "more BS restarts than crashes");
-  expect_eq(static_cast<long long>(crashed_cells_.size()),
-            bs_crashes_ - bs_restarts_,
+  const int crashes = count(EventKind::kBsCrash);
+  const int restarts = count(EventKind::kBsRestart);
+  if (restarts > crashes) violate(t_end, "more BS restarts than crashes");
+  expect_eq(static_cast<long long>(crashed_cells_.size()), crashes - restarts,
             "open crash windows vs crash/restart events");
   // Every job offered to a station is accounted for exactly once:
   // served, shed at a full queue, flushed by a crash, or still in flight
@@ -750,19 +715,12 @@ void InvariantChecker::on_run_end(sim::SimStats& stats) {
             "BS job conservation (submitted = served + shed + flushed + "
             "in-flight)");
   // --- Cascade / circuit-breaker conservation ---
-  expect_eq(stats.cascade_activations, cascade_injects_,
-            "SimStats::cascade_activations vs cascade-inject events");
   expect_eq(stats.cascade_jobs_injected, cascade_jobs_,
             "SimStats::cascade_jobs_injected vs injected-job payload sum");
-  expect_eq(stats.breaker_trips, breaker_trips_,
-            "SimStats::breaker_trips vs trip events");
-  expect_eq(stats.breaker_probes, breaker_probes_,
-            "SimStats::breaker_probes vs probe events");
-  expect_eq(stats.breaker_closes, breaker_closes_,
-            "SimStats::breaker_closes vs close events");
-  if (breaker_probes_ > breaker_trips_)
-    violate(t_end, "more breaker probes than trips");
-  if (breaker_closes_ > breaker_probes_)
+  const int trips = count(EventKind::kBreakerTrip);
+  const int probes = count(EventKind::kBreakerProbe);
+  if (probes > trips) violate(t_end, "more breaker probes than trips");
+  if (count(EventKind::kBreakerClose) > probes)
     violate(t_end, "more breaker closes than probes");
   // Load-advertisement staleness contract: the simulator never surfaces
   // an ad older than the configured bound, and the recorded maximum age
@@ -822,7 +780,7 @@ void InvariantChecker::on_run_end(sim::SimStats& stats) {
   if (stats.downtime_fraction < 0.0 || stats.downtime_fraction > 1.0)
     violate(t_end, "downtime fraction outside [0, 1]");
   if (!cfg_.faults_expected &&
-      (fault_starts_ > 0 || degraded_enters_ > 0 ||
+      (count(EventKind::kFaultStart) > 0 || degraded_enters_ > 0 ||
        stats.degraded_time_s > 0.0))
     violate(t_end, "fault/degraded activity recorded on a fault-free run");
 
@@ -882,87 +840,50 @@ std::vector<std::string> fleet_invariant_report(const sim::FleetResult& r) {
   }
 
   // --- Aggregate reconciliation against the per-UE fold ---
-  const auto expect_sum = [&](const std::string& name, long long agg,
-                              const std::function<long long(
-                                  const sim::SimStats&)>& field) {
-    long long sum = 0;
-    for (const auto& s : r.per_ue) sum += field(s);
-    if (agg != sum)
-      flag("aggregate." + name + " = " + std::to_string(agg) +
-           " but per-UE sum = " + std::to_string(sum));
-  };
+  // Every kStatsTable sum/max row must equal that fold of the per-UE
+  // values, and every global row must agree across UEs and carry that
+  // value into the aggregate. Mean rows are not re-derived here.
   const auto& a = r.aggregate;
-  expect_sum("handovers", a.handovers,
-             [](const sim::SimStats& s) { return s.handovers; });
-  expect_sum("successful_handovers", a.successful_handovers,
-             [](const sim::SimStats& s) { return s.successful_handovers; });
-  expect_sum("failures", a.failures,
-             [](const sim::SimStats& s) { return s.failures; });
-  expect_sum("t304_expiries", a.t304_expiries,
-             [](const sim::SimStats& s) { return s.t304_expiries; });
-  expect_sum("prep_requests", a.prep_requests,
-             [](const sim::SimStats& s) { return s.prep_requests; });
-  expect_sum("bs_jobs_submitted", a.bs_jobs_submitted,
-             [](const sim::SimStats& s) { return s.bs_jobs_submitted; });
-  expect_sum("admission_rejects", a.admission_rejects,
-             [](const sim::SimStats& s) { return s.admission_rejects; });
-  expect_sum("invariant_violations", a.invariant_violations,
-             [](const sim::SimStats& s) { return s.invariant_violations; });
-  expect_sum("breaker_trips", a.breaker_trips,
-             [](const sim::SimStats& s) { return s.breaker_trips; });
-  expect_sum("breaker_probes", a.breaker_probes,
-             [](const sim::SimStats& s) { return s.breaker_probes; });
-  expect_sum("breaker_closes", a.breaker_closes,
-             [](const sim::SimStats& s) { return s.breaker_closes; });
-  expect_sum("breaker_skips", a.breaker_skips,
-             [](const sim::SimStats& s) { return s.breaker_skips; });
-  expect_sum("load_ads_received", a.load_ads_received,
-             [](const sim::SimStats& s) { return s.load_ads_received; });
-  expect_sum("storm_jitter_applied", a.storm_jitter_applied,
-             [](const sim::SimStats& s) { return s.storm_jitter_applied; });
-
-  double max_time = 0.0;
-  for (const auto& s : r.per_ue) max_time = std::max(max_time, s.sim_time_s);
-  if (a.sim_time_s != max_time)
-    flag("aggregate.sim_time_s = " + std::to_string(a.sim_time_s) +
-         " but per-UE max = " + std::to_string(max_time));
-  // Crash windows are global: every UE observes the same count.
-  for (int k = 1; k < n; ++k) {
-    if (r.per_ue[static_cast<std::size_t>(k)].bs_crashes !=
-        r.per_ue[0].bs_crashes) {
-      flag("bs_crashes disagree across UEs: UE 0 saw " +
-           std::to_string(r.per_ue[0].bs_crashes) + ", UE " +
-           std::to_string(k) + " saw " +
-           std::to_string(r.per_ue[static_cast<std::size_t>(k)].bs_crashes));
-      break;
-    }
+  for (const auto& row : sim::kStatsTable) {
+    std::visit(
+        [&](auto field) {
+          using T = std::remove_cvref_t<decltype(a.*field)>;
+          const std::string name = row.name;
+          const T first = r.per_ue[0].*field;
+          switch (row.merge) {
+            case sim::MergeRule::kSum:
+            case sim::MergeRule::kMax: {
+              const bool sum = row.merge == sim::MergeRule::kSum;
+              T fold{};
+              for (const auto& s : r.per_ue)
+                fold = sum ? fold + s.*field : std::max(fold, s.*field);
+              if (a.*field != fold)
+                flag("aggregate." + name + " = " + num_text(a.*field) +
+                     " but per-UE " + (sum ? "sum" : "max") + " = " +
+                     num_text(fold));
+              break;
+            }
+            case sim::MergeRule::kGlobal:
+              for (int k = 1; k < n; ++k) {
+                const T v = r.per_ue[static_cast<std::size_t>(k)].*field;
+                if (v != first) {
+                  flag(name + " disagree across UEs: UE 0 saw " +
+                       num_text(first) + ", UE " + std::to_string(k) +
+                       " saw " + num_text(v));
+                  break;
+                }
+              }
+              if (a.*field != first)
+                flag("aggregate." + name + " = " + num_text(a.*field) +
+                     " but per-UE value = " + num_text(first));
+              break;
+            case sim::MergeRule::kMean:
+            case sim::MergeRule::kMeanSet:
+              break;
+          }
+        },
+        row.field);
   }
-  if (a.bs_crashes != r.per_ue[0].bs_crashes)
-    flag("aggregate.bs_crashes = " + std::to_string(a.bs_crashes) +
-         " but per-UE value = " + std::to_string(r.per_ue[0].bs_crashes));
-  // Cascade injections are world-global like crash windows: every UE
-  // observes the identical counts, and the aggregate carries that value.
-  for (int k = 1; k < n; ++k) {
-    const auto& s = r.per_ue[static_cast<std::size_t>(k)];
-    if (s.cascade_activations != r.per_ue[0].cascade_activations ||
-        s.cascade_jobs_injected != r.per_ue[0].cascade_jobs_injected) {
-      flag("cascade counters disagree across UEs: UE 0 saw " +
-           std::to_string(r.per_ue[0].cascade_activations) + "/" +
-           std::to_string(r.per_ue[0].cascade_jobs_injected) + ", UE " +
-           std::to_string(k) + " saw " +
-           std::to_string(s.cascade_activations) + "/" +
-           std::to_string(s.cascade_jobs_injected));
-      break;
-    }
-  }
-  if (a.cascade_activations != r.per_ue[0].cascade_activations ||
-      a.cascade_jobs_injected != r.per_ue[0].cascade_jobs_injected)
-    flag("aggregate cascade counters (" +
-         std::to_string(a.cascade_activations) + "/" +
-         std::to_string(a.cascade_jobs_injected) +
-         ") differ from the per-UE value (" +
-         std::to_string(r.per_ue[0].cascade_activations) + "/" +
-         std::to_string(r.per_ue[0].cascade_jobs_injected) + ")");
 
   // --- Merged event log: no cross-UE regression, exact per-UE recovery ---
   std::size_t total_events = 0;

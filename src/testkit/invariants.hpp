@@ -53,8 +53,10 @@
 #pragma once
 
 #include "sim/observer.hpp"
+#include "sim/schema.hpp"
 #include "sim/simulator.hpp"
 
+#include <array>
 #include <cstddef>
 #include <map>
 #include <set>
@@ -114,10 +116,16 @@ class InvariantChecker final : public sim::SimObserver {
   void violate(double t, const std::string& what);
   void check_event(const sim::SignalingEvent& e);
   void check_tick(const sim::TickView& v);
+  int count(sim::EventKind k) const {
+    return event_counts_[sim::event_index(k)];
+  }
 
   CheckerConfig cfg_;
   int violation_count_ = 0;
   std::vector<std::string> violations_;
+  /// Events seen per kind; on_run_end checks each kEventTable row's
+  /// SimStats column against it.
+  std::array<int, sim::kNumEventKinds> event_counts_{};
 
   // --- Event-stream state machine mirror ---
   bool saw_tick_ = false;
@@ -132,46 +140,24 @@ class InvariantChecker final : public sim::SimObserver {
   int t304_expiries_ = 0;
   int rlf_events_ = 0;
   int reestablished_ = 0;
-  int report_retransmits_ = 0;
-  int duplicate_commands_ = 0;
   int degraded_enters_ = 0;
   int degraded_exits_ = 0;
-  int fault_starts_ = 0;
-  int fault_ends_ = 0;
   bool pending_degraded_enter_check_ = false;
 
   // --- Backhaul preparation mirror (cfg.sim.backhaul.enabled runs) ---
   bool prep_open_ = false;        ///< HANDOVER REQUEST outstanding
   bool prep_acked_ = false;       ///< an ack arrived, command not yet out
   int prep_retries_this_attempt_ = 0;
-  int prep_requests_ = 0;
-  int prep_retries_ = 0;
-  int prep_acks_ = 0;
-  int prep_rejects_ = 0;
-  int prep_fallbacks_ = 0;
-  int prep_failures_ = 0;
-  int ctx_fetch_failures_ = 0;
 
   // --- BS capacity / crash-restart mirror ---
-  int bs_queue_sheds_ = 0;
-  int bs_jobs_done_ = 0;
   int bs_jobs_queued_ = 0;        ///< done events with nonzero queue wait
   double bs_queue_wait_sum_s_ = 0.0;
-  int admission_rejects_ = 0;
-  int admission_retries_ = 0;
-  int bs_crashes_ = 0;
-  int bs_restarts_ = 0;
-  int stale_ctx_responses_ = 0;
   /// Currently-dead BSs. At most one under plain crash-restart; a
   /// region_outage schedule legally stacks several.
   std::set<int> crashed_cells_;
 
   // --- Cascade / circuit-breaker mirror ---
-  int cascade_injects_ = 0;       ///< kCascadeInject events
   long long cascade_jobs_ = 0;    ///< sum of injected-job payloads
-  int breaker_trips_ = 0;
-  int breaker_probes_ = 0;
-  int breaker_closes_ = 0;
   /// Per-target breaker FSM replayed from the event stream:
   /// 0 = closed, 1 = open, 2 = half-open. Keyed by target cell.
   std::map<int, int> breaker_state_;
@@ -204,9 +190,10 @@ class InvariantChecker final : public sim::SimObserver {
 ///    non-negative);
 ///  - every recorded per-UE event carries that UE's id and per-UE logs
 ///    are time-sorted;
-///  - additive aggregate fields equal the sum over per-UE stats, global
-///    fields (bs_crashes, sim_time_s) equal the per-UE max, and
-///    bs_crashes agrees across all UEs (crash windows are global);
+///  - every sim::kStatsTable `sum` / `max` row of the aggregate equals
+///    that fold of the per-UE values, and every `global` row (crash and
+///    cascade counts, the shared horizon) agrees across all UEs and
+///    carries that value into the aggregate;
 ///  - the merged event log has no cross-UE timestamp regression
 ///    (non-decreasing t_s) and filtering it by UE id reproduces each
 ///    per-UE log exactly, in order.

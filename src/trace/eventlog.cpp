@@ -1,51 +1,12 @@
 #include "trace/eventlog.hpp"
 
 #include <fstream>
-#include <map>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
 namespace rem::trace {
 namespace {
-
-const std::map<std::string, sim::EventKind>& kind_by_name() {
-  static const std::map<std::string, sim::EventKind> m = {
-      {"measurement_triggered", sim::EventKind::kMeasurementTriggered},
-      {"report_delivered", sim::EventKind::kReportDelivered},
-      {"report_lost", sim::EventKind::kReportLost},
-      {"ho_command_delivered", sim::EventKind::kHoCommandDelivered},
-      {"ho_command_lost", sim::EventKind::kHoCommandLost},
-      {"handover_complete", sim::EventKind::kHandoverComplete},
-      {"radio_link_failure", sim::EventKind::kRadioLinkFailure},
-      {"reestablished", sim::EventKind::kReestablished},
-      {"fault_start", sim::EventKind::kFaultStart},
-      {"fault_end", sim::EventKind::kFaultEnd},
-      {"report_retransmit", sim::EventKind::kReportRetransmit},
-      {"t304_expiry", sim::EventKind::kT304Expiry},
-      {"ho_command_duplicate", sim::EventKind::kHoCommandDuplicate},
-      {"degraded_enter", sim::EventKind::kDegradedEnter},
-      {"degraded_exit", sim::EventKind::kDegradedExit},
-      {"prep_request", sim::EventKind::kPrepRequest},
-      {"prep_retry", sim::EventKind::kPrepRetry},
-      {"prep_ack", sim::EventKind::kPrepAck},
-      {"prep_reject", sim::EventKind::kPrepReject},
-      {"prep_fallback", sim::EventKind::kPrepFallback},
-      {"prep_failed", sim::EventKind::kPrepFailed},
-      {"context_fetch_failed", sim::EventKind::kContextFetchFailed},
-      {"bs_queue_shed", sim::EventKind::kBsQueueShed},
-      {"bs_job_done", sim::EventKind::kBsJobDone},
-      {"admission_reject", sim::EventKind::kAdmissionReject},
-      {"admission_retry", sim::EventKind::kAdmissionRetry},
-      {"bs_crash", sim::EventKind::kBsCrash},
-      {"bs_restart", sim::EventKind::kBsRestart},
-      {"context_stale", sim::EventKind::kContextStale},
-      {"cascade_inject", sim::EventKind::kCascadeInject},
-      {"breaker_trip", sim::EventKind::kBreakerTrip},
-      {"breaker_probe", sim::EventKind::kBreakerProbe},
-      {"breaker_close", sim::EventKind::kBreakerClose},
-  };
-  return m;
-}
 
 /// Parse one numeric field, turning the bare std::sto* exceptions into an
 /// error that names the field and quotes the offending text.
@@ -78,12 +39,16 @@ int parse_int(const std::string& field, const char* name) {
 }  // namespace
 
 void write_event_csv(const sim::EventLog& log, std::ostream& os) {
+  // max_digits10 makes every double round-trip bit-exactly through
+  // read_event_csv (accumulated tick times, RTT and queue-wait payloads).
+  const auto saved = os.precision(std::numeric_limits<double>::max_digits10);
   os << "t_s,kind,serving_cell,target_cell,serving_snr_db\n";
   for (const auto& e : log) {
     os << e.t_s << ',' << sim::event_kind_name(e.kind) << ','
        << e.serving_cell << ',' << e.target_cell << ',' << e.serving_snr_db
        << '\n';
   }
+  os.precision(saved);
 }
 
 void write_event_csv_file(const sim::EventLog& log,
@@ -117,10 +82,7 @@ sim::EventLog read_event_csv(std::istream& is) {
                                  std::to_string(fields.size()) + " in '" +
                                  line + "'");
       e.t_s = parse_double(fields[0], "t_s");
-      const auto it = kind_by_name().find(fields[1]);
-      if (it == kind_by_name().end())
-        throw std::runtime_error("unknown kind '" + fields[1] + "'");
-      e.kind = it->second;
+      e.kind = sim::event_kind_from_name(fields[1]);
       e.serving_cell = parse_int(fields[2], "serving_cell");
       e.target_cell = parse_int(fields[3], "target_cell");
       e.serving_snr_db = parse_double(fields[4], "serving_snr_db");

@@ -7,6 +7,7 @@
 
 #include "scenario_runner.hpp"
 #include "sim/fleet.hpp"
+#include "sim/schema.hpp"
 #include "testkit/golden.hpp"
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <cstdlib>
 #include <string>
 #include <utility>
+#include <variant>
 
 namespace {
 
@@ -199,7 +201,9 @@ TEST(InvariantChecker, FlagsStatsDisagreeingWithEventStream) {
   c.on_run_end(stats);
   EXPECT_GT(c.violation_count(), 0);
   EXPECT_EQ(stats.invariant_violations, c.violation_count());
-  EXPECT_NE(c.report().find("delivered commands"), std::string::npos);
+  EXPECT_NE(c.report().find("SimStats::handovers vs ho_command_delivered"),
+            std::string::npos)
+      << c.report();
 }
 
 TEST(InvariantChecker, FlagsLoopAccountingMismatch) {
@@ -427,6 +431,50 @@ TEST(FleetInvariants, CrashWindowDisagreementIsFlagged) {
   for (const auto& line : rem::testkit::fleet_invariant_report(r))
     found = found || line.find("bs_crashes disagree") != std::string::npos;
   EXPECT_TRUE(found);
+}
+
+bool report_mentions(const rem::sim::FleetResult& r, const std::string& what) {
+  for (const auto& line : rem::testkit::fleet_invariant_report(r))
+    if (line.find(what) != std::string::npos) return true;
+  return false;
+}
+
+TEST(FleetInvariants, EverySumRowDriftIsFlagged) {
+  // Counters outside the original hand-picked list: BS jobs flushed by a
+  // crash and backhaul frames dropped at a dead BS.
+  auto r = small_fleet();
+  r.aggregate.bs_jobs_flushed += 1;
+  r.aggregate.backhaul_dropped_crash += 1;
+  EXPECT_TRUE(report_mentions(r, "aggregate.bs_jobs_flushed"));
+  EXPECT_TRUE(report_mentions(r, "aggregate.backhaul_dropped_crash"));
+  // And every other sum/max row of the schema.
+  for (const auto& row : rem::sim::kStatsTable) {
+    if (row.merge != rem::sim::MergeRule::kSum &&
+        row.merge != rem::sim::MergeRule::kMax)
+      continue;
+    auto drift = small_fleet();
+    std::visit([&](auto field) { drift.aggregate.*field += 1; }, row.field);
+    EXPECT_TRUE(report_mentions(drift, std::string("aggregate.") + row.name))
+        << row.name;
+  }
+}
+
+TEST(FleetInvariants, EveryGlobalRowDisagreementIsFlagged) {
+  // All UEs share the horizon, so one UE ending early is a disagreement
+  // even though the aggregate (the max) still looks right.
+  auto r = small_fleet();
+  r.per_ue[1].sim_time_s = 9.0;
+  r.aggregate = rem::sim::merge_fleet_stats(r.per_ue);
+  EXPECT_TRUE(report_mentions(r, "sim_time_s disagree across UEs"));
+  for (const auto& row : rem::sim::kStatsTable) {
+    if (row.merge != rem::sim::MergeRule::kGlobal) continue;
+    auto split = small_fleet();
+    std::visit([&](auto field) { split.per_ue[1].*field += 1; }, row.field);
+    split.aggregate = rem::sim::merge_fleet_stats(split.per_ue);
+    EXPECT_TRUE(
+        report_mentions(split, std::string(row.name) + " disagree across UEs"))
+        << row.name;
+  }
 }
 
 TEST(FleetInvariants, CrossUeTimestampRegressionIsFlagged) {

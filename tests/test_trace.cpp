@@ -5,11 +5,17 @@
 #include "phy/channel_est.hpp"
 #include "phy/bler_model.hpp"
 #include "trace/eventlog.hpp"
+#include "sim/schema.hpp"
 #include "trace/scenario.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <set>
 #include <sstream>
+#include <string>
 
 namespace rt = rem::trace;
 namespace rs = rem::sim;
@@ -285,6 +291,71 @@ TEST(EventLog, SimulatorRecordsConsistentLog) {
   std::stringstream ss;
   rt::write_event_csv(stats.events, ss);
   EXPECT_EQ(rt::read_event_csv(ss).size(), stats.events.size());
+}
+
+TEST(EventLog, RecordedRunRoundTripsBitExactly) {
+  // A real log carries accumulated tick times (e.g. 12.340000000000007)
+  // and RTT / queue-wait seconds in the SNR slot; every field must come
+  // back bit-identical, not merely close.
+  const auto sc = rt::make_scenario(rt::Route::kBeijingShanghai, 300.0,
+                                    120.0);
+  rem::common::Rng rng(11);
+  auto cells = rs::make_rail_deployment(sc.deployment, rng);
+  rs::RadioEnv env(cells, sc.propagation, rng.fork());
+  auto policies = rt::synthesize_policies(cells, sc.policy_mix, rng);
+  rem::phy::LogisticBlerModel bler;
+  rem::core::LegacyConfig lc;
+  lc.policies = policies;
+  rem::core::LegacyManager mgr(lc);
+  auto sim_cfg = sc.sim;
+  sim_cfg.record_events = true;
+  sim_cfg.backhaul.enabled = true;
+  sim_cfg.bs_capacity.enabled = true;
+  rs::Simulator sim(env, sim_cfg, bler, rng.fork());
+  const auto log = sim.run(mgr).events;
+  const auto has = [&](rs::EventKind k) {
+    return std::any_of(log.begin(), log.end(),
+                       [k](const rs::SignalingEvent& e) { return e.kind == k; });
+  };
+  ASSERT_TRUE(has(rs::EventKind::kPrepAck));
+  ASSERT_TRUE(has(rs::EventKind::kBsJobDone));
+
+  std::stringstream ss;
+  rt::write_event_csv(log, ss);
+  const auto back = rt::read_event_csv(ss);
+  ASSERT_EQ(back.size(), log.size());
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    SCOPED_TRACE("event " + std::to_string(i));
+    EXPECT_EQ(bits(back[i].t_s), bits(log[i].t_s));
+    EXPECT_EQ(back[i].kind, log[i].kind);
+    EXPECT_EQ(back[i].serving_cell, log[i].serving_cell);
+    EXPECT_EQ(back[i].target_cell, log[i].target_cell);
+    EXPECT_EQ(bits(back[i].serving_snr_db), bits(log[i].serving_snr_db));
+    EXPECT_EQ(back[i].ue, log[i].ue);
+  }
+}
+
+TEST(EventLog, EveryTableKindRoundTripsThroughItsToken) {
+  std::set<std::string> tokens;
+  rs::EventLog log;
+  for (const auto& row : rs::kEventTable) {
+    EXPECT_EQ(rs::event_kind_name(row.kind), row.token);
+    EXPECT_EQ(rs::event_kind_from_name(row.token), row.kind);
+    EXPECT_TRUE(tokens.insert(row.token).second)
+        << "duplicate token " << row.token;
+    log.push_back({1.0, row.kind, 0, -1, 0.0});
+  }
+  std::stringstream ss;
+  rt::write_event_csv(log, ss);
+  const auto back = rt::read_event_csv(ss);
+  ASSERT_EQ(back.size(), rs::kNumEventKinds);
+  for (std::size_t i = 0; i < back.size(); ++i)
+    EXPECT_EQ(back[i].kind, rs::kEventTable[i].kind);
+  EXPECT_THROW(rs::event_kind_name(static_cast<rs::EventKind>(
+                   static_cast<int>(rs::kNumEventKinds))),
+               std::invalid_argument);
+  EXPECT_THROW(rs::event_kind_from_name("warp_drive"), std::invalid_argument);
 }
 
 // ---------- Movement estimation ----------
