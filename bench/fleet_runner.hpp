@@ -1,6 +1,7 @@
 // Shared helper for fleet-scale benches and tests: build one scenario and
 // run a multi-UE fleet through Simulator::run_fleet with a per-UE
-// invariant checker demuxed over the observer stream.
+// invariant checker demuxed over the observer stream. run_fleet drives
+// the same tick loop as a single-UE Simulator::run.
 //
 // Construction order is fixed and documented because tests pin bit-exact
 // reproducibility against it:
@@ -14,7 +15,8 @@
 // that per-UE manager construction (REM managers fork once per UE) never
 // interleaves with the simulator's own draw order: a fleet of one built
 // this way is bit-identical to a single-UE Simulator::run over the same
-// streams, whatever fleet_size later runs use.
+// streams, whatever fleet_size later runs use (tests/test_fleet.cpp pins
+// it with faults armed, tests/test_cascade.cpp with the resilience stack).
 //
 // Entry points:
 //   run_fleet_scenario — run a fully specified trace::Scenario (the
@@ -79,7 +81,6 @@ inline sim::FleetResult run_fleet_scenario(const trace::Scenario& sc,
   std::vector<std::unique_ptr<testkit::InvariantChecker>> checkers;
   sim::SimConfig run_cfg = sc.sim;
   run_cfg.record_events = run_cfg.record_events || opts.record_events;
-  run_cfg.engine = sim::SimEngine::kEventQueue;
   if (check) {
     testkit::CheckerConfig ccfg;
     ccfg.sim = run_cfg;
@@ -162,7 +163,6 @@ inline sim::FleetResult run_fleet_seed(trace::Route route, double speed_kmh,
   if (opts.bs_capacity) sc.sim.bs_capacity = *opts.bs_capacity;
   if (opts.fleet) sc.sim.fleet = *opts.fleet;
   sc.sim.fleet_size = opts.fleet_size;
-  sc.sim.engine = sim::SimEngine::kEventQueue;
   sc.sim.load_ad_staleness_s = opts.load_ad_staleness_s;
   sc.sim.breaker_trip_k = opts.breaker_trip_k;
   sc.sim.breaker_cooldown_s = opts.breaker_cooldown_s;

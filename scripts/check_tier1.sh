@@ -11,7 +11,11 @@
 #   scripts/check_tier1.sh --all        # every ctest label (slow/chaos/
 #                                       # golden included) plus the golden
 #                                       # byte check (update_goldens.sh
-#                                       # --check)
+#                                       # --check) and the benchmark's
+#                                       # self-test (perfbench/run.py
+#                                       # --self-test), so a src/ API
+#                                       # change that breaks the
+#                                       # benchmark fails here
 #   scripts/check_tier1.sh --full       # --all plus the sanitizer chaos
 #                                       # soak (scripts/check_soak.sh)
 #   scripts/check_tier1.sh --scenarios  # also smoke-compile every
@@ -28,16 +32,16 @@ cd "$(dirname "$0")/.."
 build="${BUILD_DIR:-build}"
 
 ctest_args=(-L 'tier1|docs|perf|fleet')
-goldens=0
+all_checks=0
 soak=0
 scenarios=0
 if [ "${1:-}" = "--all" ]; then
   ctest_args=()
-  goldens=1
+  all_checks=1
   shift
 elif [ "${1:-}" = "--full" ]; then
   ctest_args=()
-  goldens=1
+  all_checks=1
   soak=1
   shift
 elif [ "${1:-}" = "--scenarios" ]; then
@@ -51,8 +55,9 @@ cmake --build "${build}" -j"$(nproc)"
 ctest --test-dir "${build}" --output-on-failure -j"$(nproc)" \
       "${ctest_args[@]+"${ctest_args[@]}"}"
 
-if [ "${goldens}" = 1 ]; then
+if [ "${all_checks}" = 1 ]; then
   scripts/update_goldens.sh --check "${build}"
+  python3 perfbench/run.py --self-test
 fi
 
 if [ "${soak}" = 1 ]; then

@@ -5,10 +5,13 @@
 #include "sim/fault_injector.hpp"
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -51,6 +54,15 @@ constexpr NamedClass kNamedClasses[] = {
 /// paper's 350 km/h operating point, far below anything the propagation
 /// model was calibrated for.
 constexpr double kMaxSpeedKmh = 600.0;
+
+/// Ceiling for the compiled horizon (s): one simulated day, far above any
+/// library scenario. Compilation probes the fault schedule over the whole
+/// horizon, so an unbounded one would never finish.
+constexpr double kMaxHorizonS = 86400.0;
+
+/// Ceiling for a random fault process's expected window count over the
+/// horizon (horizon / mean_gap_s): the probe materializes every window.
+constexpr double kMaxFaultArrivals = 1e5;
 
 sim::BsCapacityConfig bs_profile_preset(const std::string& profile) {
   sim::BsCapacityConfig c;  // "macro": the model defaults
@@ -192,13 +204,18 @@ ScenarioSpec read_scenario_json(std::istream& is) {
     const double v = std::strtod(s.c_str(), &end);
     if (s.empty() || end != s.c_str() + s.size())
       bad(key, "malformed number '" + s + "'");
+    if (!std::isfinite(v)) bad(key, "non-finite number '" + s + "'");
     return v;
   };
   const auto parse_int = [&](const std::string& key, const std::string& s) {
     char* end = nullptr;
+    errno = 0;
     const long v = std::strtol(s.c_str(), &end, 10);
     if (s.empty() || end != s.c_str() + s.size())
       bad(key, "malformed integer '" + s + "'");
+    if (errno == ERANGE || v < std::numeric_limits<int>::min() ||
+        v > std::numeric_limits<int>::max())
+      bad(key, "integer '" + s + "' out of range");
     return static_cast<int>(v);
   };
   const auto parse_bool = [&](const std::string& key, const std::string& s) {
@@ -242,7 +259,9 @@ ScenarioSpec read_scenario_json(std::istream& is) {
     for (char c : *v)
       if (c < '0' || c > '9') bad("seed", "malformed integer '" + *v + "'");
     if (v->empty()) bad("seed", "empty integer");
+    errno = 0;
     spec.seed = std::strtoull(v->c_str(), nullptr, 10);
+    if (errno == ERANGE) bad("seed", "integer '" + *v + "' out of range");
   }
 
   // --- UE population: plain band, named-class shorthands, or generic
@@ -297,8 +316,11 @@ ScenarioSpec read_scenario_json(std::istream& is) {
   if (band_lo) spec.ue_speed_lo_kmh = parse_double("ue.speed_lo_kmh", *band_lo);
   if (band_hi) spec.ue_speed_hi_kmh = parse_double("ue.speed_hi_kmh", *band_hi);
   if (!spec.classes.empty()) {
-    int sum = 0;
+    long long sum = 0;
     for (const auto& c : spec.classes) sum += c.count;
+    if (sum > std::numeric_limits<int>::max())
+      throw std::runtime_error("scenario JSON: class counts sum to " +
+                               std::to_string(sum) + ", beyond int range");
     if (ue_count) {
       spec.ue_count = parse_int("ue.count", *ue_count);
       if (spec.ue_count != sum)
@@ -306,7 +328,7 @@ ScenarioSpec read_scenario_json(std::istream& is) {
             "scenario JSON: ue.count " + std::to_string(spec.ue_count) +
             " contradicts the class counts (sum " + std::to_string(sum) + ")");
     } else {
-      spec.ue_count = sum;
+      spec.ue_count = static_cast<int>(sum);
     }
   } else if (ue_count) {
     spec.ue_count = parse_int("ue.count", *ue_count);
@@ -638,6 +660,10 @@ CompiledScenario compile(const ScenarioSpec& spec,
   const double duration_raw = overrides.duration_s.value_or(spec.duration_s);
   if (!(duration_raw > 0.0)) reject("duration_s must be > 0");
   const double duration_s = duration_raw / tc;
+  if (!(duration_s <= kMaxHorizonS))
+    reject("compiled horizon duration_s / time_compression = " +
+           fmt_double(duration_s) + " s exceeds " + fmt_double(kMaxHorizonS) +
+           " s");
 
   const auto check_speed = [&](const std::string& what, double v) {
     if (!(v > 0.0 && v <= kMaxSpeedKmh))
@@ -665,7 +691,7 @@ CompiledScenario compile(const ScenarioSpec& spec,
     if (ue_count > 1)
       max_speed_kmh = std::max(max_speed_kmh, spec.ue_speed_hi_kmh);
   } else {
-    int sum = 0;
+    long long sum = 0;
     for (const auto& c : spec.classes) {
       const std::string what = "class '" + c.name + "'";
       if (c.count < 0) reject(what + " count must be >= 0");
@@ -720,10 +746,16 @@ CompiledScenario compile(const ScenarioSpec& spec,
     w.duration_s /= tc;
     sc.faults.windows.push_back(w);
   }
-  for (auto r : spec.rfaults) {
+  for (std::size_t i = 0; i < spec.rfaults.size(); ++i) {
+    auto r = spec.rfaults[i];
     r.mean_gap_s /= tc;
     r.duration_lo_s /= tc;
     r.duration_hi_s /= tc;
+    if (r.mean_gap_s > 0.0 && duration_s > kMaxFaultArrivals * r.mean_gap_s)
+      reject("rfault." + std::to_string(i) + ".mean_gap_s " +
+             fmt_double(spec.rfaults[i].mean_gap_s) +
+             " s would schedule more than " + fmt_double(kMaxFaultArrivals) +
+             " windows over the horizon");
     sc.faults.random.push_back(r);
   }
   // Correlated-fault domain knobs: the onset stagger is a timeline
@@ -880,7 +912,9 @@ std::vector<std::pair<std::string, std::string>> digest_fields(
   add_d("sim.ctx_fetch_timeout_s", s.ctx_fetch_timeout_s);
   add_i("sim.ctx_fetch_max_retries", s.ctx_fetch_max_retries);
   add_d("sim.ctx_degraded_penalty_s", s.ctx_degraded_penalty_s);
-  add_i("sim.engine", static_cast<int>(s.engine));
+  // SimConfig::engine is inert: the key stays, pinned to its old tick-loop
+  // value, so every scen_* digest is unchanged.
+  add("sim.engine", "0");
   add_i("sim.fleet_size", s.fleet_size);
   add_d("fleet.speed_min_kmh", s.fleet.speed_min_kmh);
   add_d("fleet.speed_max_kmh", s.fleet.speed_max_kmh);

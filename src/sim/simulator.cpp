@@ -4,7 +4,6 @@
 #include "common/units.hpp"
 #include "core/admission.hpp"
 #include "core/circuit_breaker.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/fleet.hpp"
 #include "sim/schema.hpp"
 
@@ -140,14 +139,14 @@ struct TickEmit {
   ~TickEmit();
 };
 
-/// The simulation core shared by both drivers and both run modes: one
-/// world (fault schedule, BsStation banks, backhaul transport, crash
-/// window) carrying N >= 1 UEs. Each simulated instant unfolds as one
-/// shared_step() (world state, backhaul arrivals, BS completions) followed
-/// by one ue_step() per UE in UE-id order — exactly the seed's single-UE
-/// tick body split at the world/UE boundary, preserving every operation
-/// and RNG draw in order, so a single-UE run is bit-identical to the
-/// pre-refactor tick loop on either driver.
+/// The simulation core behind both run modes (Simulator::run and
+/// run_fleet): one world (fault schedule, BsStation banks, backhaul
+/// transport, crash window) carrying N >= 1 UEs, driven by one tick loop.
+/// Each simulated instant unfolds as one shared_step() (world state,
+/// backhaul arrivals, BS completions) followed by one ue_step() per UE in
+/// UE-id order — exactly the seed's single-UE tick body split at the
+/// world/UE boundary, preserving every operation and RNG draw in order, so
+/// a single-UE run is bit-identical to the pre-refactor tick loop.
 class FleetEngine {
  public:
   FleetEngine(const RadioEnv& env, const SimConfig& cfg,
@@ -161,6 +160,16 @@ class FleetEngine {
         fleet_mode_(fleet_mode),
         use_net_(cfg.backhaul.enabled),
         use_cap_(cfg.bs_capacity.enabled) {
+    // The clock comes first: a zero or NaN tick never advances the loop,
+    // and an infinite horizon never ends it (or the fault schedule below).
+    if (!(std::isfinite(cfg_.tick_s) && cfg_.tick_s > 0.0))
+      throw std::invalid_argument(
+          "SimConfig::tick_s must be finite and > 0, got " +
+          std::to_string(cfg_.tick_s));
+    if (!(std::isfinite(cfg_.duration_s) && cfg_.duration_s >= 0.0))
+      throw std::invalid_argument(
+          "SimConfig::duration_s must be finite and >= 0, got " +
+          std::to_string(cfg_.duration_s));
     // Materialize the fault schedule. The no-fault path must not fork the
     // RNG, so a fault-free config leaves every downstream draw untouched.
     faults_ = cfg_.faults.empty()
@@ -212,59 +221,15 @@ class FleetEngine {
     manager->on_serving_changed(0.0, static_cast<std::size_t>(serving));
   }
 
-  /// The seed's for-loop driver: one shared step plus one step per UE at
-  /// each accumulated tick time.
-  void run_tick_loop() {
+  /// The simulation loop: at each accumulated tick time, the world step
+  /// and then one step per UE in UE-id order.
+  void run() {
     const double dt = cfg_.tick_s;
     for (double t = 0.0; t < cfg_.duration_s; t += dt) {
       shared_step(t);
       for (auto& u : ues_) ue_step(t, u);
     }
     finish();
-  }
-
-  // Event taxonomy for the discrete-event driver. The world step runs at
-  // priority 0, UE k's step at priority 1 + k, so one simulated instant
-  // always dispatches as "world, UE 0, UE 1, ...".
-  enum : int { kEvWorldStep = 0, kEvUeStep = 1 };
-  static constexpr int kWorldPriority = 0;
-  static constexpr int kUePriorityBase = 1;
-
-  /// Discrete-event driver: the same step functions scheduled through
-  /// sim::EventQueue. Each handler re-schedules itself at its own t + dt,
-  /// replicating the tick loop's `t += dt` float accumulation bit for bit.
-  void run_event_queue() {
-    const double dt = cfg_.tick_s;
-    EventQueue queue;
-    if (cfg_.duration_s > 0.0 && dt > 0.0) {
-      queue.push(Event{0.0, kWorldPriority, 0, kEvWorldStep, -1});
-      for (const auto& u : ues_)
-        queue.push(Event{0.0, kUePriorityBase + u.id, 0, kEvUeStep, u.id});
-    }
-    while (auto e = queue.pop()) process(queue, *e);
-    finish();
-  }
-
-  /// Dispatch one event and schedule its successor while the horizon
-  /// allows (the same `t < duration` guard as the tick loop).
-  void process(EventQueue& queue, const Event& e) {
-    const double dt = cfg_.tick_s;
-    switch (e.kind) {
-      case kEvWorldStep:
-        shared_step(e.t_s);
-        if (e.t_s + dt < cfg_.duration_s)
-          queue.push(Event{e.t_s + dt, kWorldPriority, 0, kEvWorldStep, -1});
-        break;
-      case kEvUeStep:
-        ue_step(e.t_s, ue_of(e.arg));
-        if (e.t_s + dt < cfg_.duration_s)
-          queue.push(Event{e.t_s + dt, kUePriorityBase + e.arg, 0,
-                           kEvUeStep, e.arg});
-        break;
-      default:
-        throw std::logic_error("FleetEngine: unknown event kind " +
-                               std::to_string(e.kind));
-    }
   }
 
   /// Move the per-UE stats out (indexed by UE id). Call once, after a run.
@@ -1594,11 +1559,7 @@ SimStats Simulator::run(MobilityManager& manager,
   // The single UE rides the base RNG stream directly (after the engine's
   // faults/backhaul forks), exactly like the pre-refactor loop.
   eng.add_ue(&manager, &rng_, cfg_.speed_kmh, 0.0);
-  if (cfg_.engine == SimEngine::kEventQueue) {
-    eng.run_event_queue();
-  } else {
-    eng.run_tick_loop();
-  }
+  eng.run();
   auto stats = eng.take_stats();
   return std::move(stats.front());
 }
@@ -1701,7 +1662,7 @@ FleetResult Simulator::run_fleet(
                starts[static_cast<std::size_t>(k)]);
   }
 
-  eng.run_event_queue();
+  eng.run();
 
   FleetResult out;
   out.per_ue = eng.take_stats();

@@ -101,23 +101,16 @@ class MobilityManager {
   virtual bool client_driven() const { return false; }
 };
 
-/// Which driver executes a single-UE run(). Both drivers share the same
-/// per-tick step functions, RNG draw order, and floating-point time
-/// accumulation (the next step is scheduled at t + tick_s, exactly the
-/// tick loop's `t += dt`), so their SimStats are bit-identical — the
-/// golden corpus pins the tick loop and test_fleet pins the equivalence.
-/// Multi-UE fleets (run_fleet) always run on the event queue.
+/// Inert: the simulator always runs its one tick loop, and nothing reads
+/// this. It is kept only because perfbench/fleet_workloads.cpp:163, whose
+/// directory the benchmark definition (BENCHMARK.json) fixes, assigns
+/// SimConfig::engine. Delete the enum and the field together with that
+/// line when the benchmark is next redefined.
 enum class SimEngine {
-  kTickLoop,    ///< the seed's for-loop driver (default)
-  kEventQueue,  ///< sim::EventQueue-driven discrete-event dispatch
+  kTickLoop,
+  kEventQueue,
 };
 
-/// Multi-UE fleet knobs (Simulator::run_fleet). UE 0 always uses the
-/// scenario's SimConfig::speed_kmh and starts at position 0 — and draws
-/// nothing extra — so a fleet of one is bit-identical to a single-UE
-/// run(). Every further UE forks its own RNG stream from the simulation
-/// RNG (in UE-id order) and derives a mixed speed and start offset from
-/// that stream's first draws.
 /// One mobility class of a mixed-speed fleet population: `count` UEs
 /// drawing their speed uniformly from [speed_lo_kmh, speed_hi_kmh].
 /// Compiled scenarios (rem::scenario) map the paper's pedestrian /
@@ -129,6 +122,12 @@ struct FleetSpeedClass {
   double speed_hi_kmh = 350.0;
 };
 
+/// Multi-UE fleet knobs (Simulator::run_fleet). UE 0 always uses the
+/// scenario's SimConfig::speed_kmh and starts at position 0 — and draws
+/// nothing extra — so a fleet of one is bit-identical to a single-UE
+/// run(). Every further UE forks its own RNG stream from the simulation
+/// RNG (in UE-id order) and derives a mixed speed and start offset from
+/// that stream's first draws.
 struct FleetConfig {
   /// Speed range (km/h) for UE 1..N-1, drawn uniformly per UE. Ignored
   /// when `classes` is non-empty.
@@ -254,8 +253,7 @@ struct SimConfig {
   /// desynchronize instead of hammering the next BS in lockstep. 0 (the
   /// default) draws nothing and keeps the legacy timing bit-for-bit.
   double storm_jitter_frac = 0.0;
-  /// Which driver executes run(). kTickLoop is the seed's loop; the event
-  /// queue is bit-identical for single-UE runs (test_fleet pins this).
+  /// Inert (see SimEngine): nothing in the simulator reads it.
   SimEngine engine = SimEngine::kTickLoop;
   /// Number of UEs a run_fleet() carries. run() ignores it; run_fleet()
   /// rejects values < 1. UEs genuinely share BsStation slots, RRC queues,
@@ -383,12 +381,14 @@ class Simulator {
   /// Run the full scenario with the given manager and return statistics.
   /// `pair_conflicts(cell_a, cell_b)` (CellId::cell values) marks loop
   /// episodes caused by policy conflicts; pass an empty function to skip.
-  /// Executes on the driver named by SimConfig::engine; both drivers are
-  /// bit-identical.
+  /// Runs on the tick loop (one world step, then the UE's step, per tick)
+  /// and never fires SimObserver::on_ue. Throws std::invalid_argument
+  /// unless tick_s is finite and > 0 and duration_s finite and >= 0.
   SimStats run(MobilityManager& manager,
                const std::function<bool(int, int)>& pair_conflicts = {});
 
-  /// Multi-UE fleet run on the event queue: cfg.fleet_size UEs share the
+  /// Multi-UE fleet run on the same tick loop as run(): at each tick the
+  /// world steps once, then UE 0..N-1 in order. cfg.fleet_size UEs share the
   /// radio environment, BsStation capacity, and backhaul transport, each
   /// with its own manager built by `make_manager(ue)` (called in UE-id
   /// order). UE 0 runs the scenario's exact single-UE parameters and RNG
@@ -396,8 +396,8 @@ class Simulator {
   /// derive mixed speeds and start offsets from per-UE forked streams
   /// (SimConfig::fleet). Per-UE stats come back indexed by UE id with the
   /// deterministic aggregate merged in UE-id order (sim/fleet.hpp).
-  /// Throws std::invalid_argument when cfg.fleet_size < 1 or
-  /// make_manager returns nullptr.
+  /// Throws std::invalid_argument when cfg.fleet_size < 1, make_manager
+  /// returns nullptr, or the clock is bad (as for run()).
   FleetResult run_fleet(
       const std::function<std::unique_ptr<MobilityManager>(int)>&
           make_manager,

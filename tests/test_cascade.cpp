@@ -3,8 +3,8 @@
 // consecutive failures, the half-open probe's success and failure paths,
 // pure-arithmetic cool-down deadlines — plus simulator-level pins: breaker
 // events agree with stats counters and respect the cool-down under a
-// cascade storm, the tick-loop and event-queue engines produce
-// bit-identical breaker timelines, and storm runs merged in seed order are
+// cascade storm, a fleet of one reproduces the single-UE storm run's
+// breaker timeline bit for bit, and storm runs merged in seed order are
 // bit-identical at 1, 2, and 8 worker threads.
 #include "core/circuit_breaker.hpp"
 #include "fleet_runner.hpp"
@@ -202,11 +202,12 @@ TEST(CascadeSim, BreakerEventsAgreeWithCountersAndCooldown) {
   EXPECT_GT(agg.breaker_skips, 0);
 }
 
-/// Single-UE storm run under an explicit engine, with the cascade
-/// resilience knobs applied (test_fleet.cpp's runner predates them).
+/// Single-UE storm run built in fleet_runner.hpp's construction order,
+/// with the cascade resilience knobs applied (test_fleet.cpp's runner
+/// predates them).
 sim::SimStats run_single_storm(std::uint64_t seed, bool use_rem,
-                               const FleetRunOptions& opts, double duration_s,
-                               sim::SimEngine engine) {
+                               const FleetRunOptions& opts,
+                               double duration_s) {
   auto sc = rem::trace::make_scenario(rem::trace::Route::kBeijingShanghai,
                                       300.0, duration_s);
   sc.sim.faults = opts.faults;
@@ -216,7 +217,6 @@ sim::SimStats run_single_storm(std::uint64_t seed, bool use_rem,
   sc.sim.breaker_trip_k = opts.breaker_trip_k;
   sc.sim.breaker_cooldown_s = opts.breaker_cooldown_s;
   sc.sim.storm_jitter_frac = opts.storm_jitter_frac;
-  sc.sim.engine = engine;
 
   rem::common::Rng rng(seed);
   auto cells = sim::make_rail_deployment(sc.deployment, rng);
@@ -264,19 +264,25 @@ void expect_cascade_eq(const sim::SimStats& a, const sim::SimStats& b) {
             rem::testkit::hash_event_log(b.events));
 }
 
-TEST(CascadeSim, BreakerTimelineBitIdenticalAcrossEngines) {
-  const auto opts = storm_opts(120.0, 1);
+TEST(CascadeSim, FleetOfOneReproducesSingleUeStormRun) {
+  // Breakers, load ads and storm jitter armed: UE 0 of a one-UE fleet
+  // (checkers attached through the demux) must replay the bare single-UE
+  // run exactly, breaker timeline and event log included.
+  auto opts = storm_opts(120.0, 1);
   for (bool use_rem : {false, true}) {
     SCOPED_TRACE(use_rem ? "rem" : "legacy");
-    const auto ticked =
-        run_single_storm(18, use_rem, opts, 120.0, sim::SimEngine::kTickLoop);
-    const auto queued =
-        run_single_storm(18, use_rem, opts, 120.0, sim::SimEngine::kEventQueue);
-    expect_cascade_eq(queued, ticked);
+    opts.use_rem = use_rem;
+    const auto single = run_single_storm(18, use_rem, opts, 120.0);
+    const auto fleet =
+        run_fleet_seed(rem::trace::Route::kBeijingShanghai, 300.0, 120.0, 18,
+                       rem::phy::LogisticBlerModel{}, opts);
+    ASSERT_EQ(fleet.per_ue.size(), 1u);
+    expect_cascade_eq(fleet.per_ue[0], single);
+    expect_cascade_eq(fleet.aggregate, single);
     // The comparison is about breaker timelines, so make sure there is one
     // (client-driven REM preps trip reliably; legacy trips are rare on a
     // single UE, so only the bit-identity is asserted there).
-    if (use_rem) EXPECT_GT(queued.breaker_trips, 0);
+    if (use_rem) EXPECT_GT(single.breaker_trips, 0);
   }
 }
 

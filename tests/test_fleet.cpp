@@ -1,11 +1,11 @@
 // Fleet-scale verification layer (label: fleet): the multi-UE engine is
-// pinned against the single-UE simulator bit-for-bit, across drivers, and
-// across thread counts.
+// pinned against the single-UE simulator bit-for-bit and across thread
+// counts.
 //
 //  - a fleet of one reproduces a single-UE Simulator::run exactly (same
 //    RNG derivation, same stats, same event log) for both managers;
-//  - the tick-loop and event-queue drivers are bit-identical on the same
-//    single-UE scenario, faults and all;
+//  - both entry points reject a bad clock (zero, negative or non-finite
+//    tick; negative or non-finite horizon) instead of spinning;
 //  - a batch of fleet seeds merged in seed order is bit-identical at 1, 2,
 //    and 8 worker threads;
 //  - per-UE stats fold into the fleet aggregate under the documented
@@ -19,7 +19,10 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <limits>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -98,8 +101,7 @@ void expect_stats_eq(const rem::sim::SimStats& a, const rem::sim::SimStats& b,
 /// its output is the reference a fleet of one must reproduce bit-for-bit.
 rem::sim::SimStats run_single(rem::trace::Route route, double speed_kmh,
                               double duration_s, std::uint64_t seed,
-                              bool use_rem, const FleetRunOptions& opts,
-                              rem::sim::SimEngine engine) {
+                              bool use_rem, const FleetRunOptions& opts) {
   namespace sim = rem::sim;
   namespace core = rem::core;
   auto sc = rem::trace::make_scenario(route, speed_kmh, duration_s);
@@ -108,7 +110,6 @@ rem::sim::SimStats run_single(rem::trace::Route route, double speed_kmh,
   if (opts.backhaul) sc.sim.backhaul = *opts.backhaul;
   if (opts.bs_capacity) sc.sim.bs_capacity = *opts.bs_capacity;
   if (opts.fleet) sc.sim.fleet = *opts.fleet;
-  sc.sim.engine = engine;
 
   rem::common::Rng rng(seed);
   auto cells = sim::make_rail_deployment(sc.deployment, rng);
@@ -141,7 +142,7 @@ TEST(Fleet, FleetOfOneReproducesSingleUeRunExactly) {
     opts.use_rem = use_rem;
     const auto single =
         run_single(rem::trace::Route::kBeijingTaiyuan, 250.0, 60.0, 21,
-                   use_rem, opts, rem::sim::SimEngine::kEventQueue);
+                   use_rem, opts);
     const auto fleet = run_fleet_seed(rem::trace::Route::kBeijingTaiyuan,
                                       250.0, 60.0, 21,
                                       rem::phy::LogisticBlerModel{}, opts);
@@ -155,20 +156,69 @@ TEST(Fleet, FleetOfOneReproducesSingleUeRunExactly) {
   }
 }
 
-TEST(Fleet, TickLoopAndEventQueueDriversBitIdentical) {
-  FleetRunOptions opts;
-  opts.record_events = true;
-  opts.faults = rem::testkit::golden_fault_preset("bs_overload_shed", 60.0);
-  for (bool use_rem : {false, true}) {
-    SCOPED_TRACE(use_rem ? "rem" : "legacy");
-    const auto ticked =
-        run_single(rem::trace::Route::kBeijingShanghai, 300.0, 60.0, 22,
-                   use_rem, opts, rem::sim::SimEngine::kTickLoop);
-    const auto queued =
-        run_single(rem::trace::Route::kBeijingShanghai, 300.0, 60.0, 22,
-                   use_rem, opts, rem::sim::SimEngine::kEventQueue);
-    expect_stats_eq(queued, ticked);
+TEST(Fleet, BothEntryPointsRejectBadClock) {
+  namespace sim = rem::sim;
+  namespace core = rem::core;
+  auto sc = rem::trace::make_scenario(rem::trace::Route::kBeijingShanghai,
+                                      300.0, 5.0);
+  rem::common::Rng rng(7);
+  auto cells = sim::make_rail_deployment(sc.deployment, rng);
+  sim::RadioEnv env(cells, sc.propagation, rng.fork(), {});
+  core::LegacyConfig lc;
+  lc.policies = rem::trace::synthesize_policies(cells, sc.policy_mix, rng);
+  rem::phy::LogisticBlerModel bler;
+  const auto make_manager = [&](int) -> std::unique_ptr<sim::MobilityManager> {
+    return std::make_unique<core::LegacyManager>(lc);
+  };
+
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Bad {
+    double tick_s, duration_s;
+    const char* field;
+  };
+  for (const Bad& b : {Bad{0.0, 5.0, "tick_s"}, Bad{-0.01, 5.0, "tick_s"},
+                       Bad{nan, 5.0, "tick_s"}, Bad{inf, 5.0, "tick_s"},
+                       Bad{0.01, -1.0, "duration_s"},
+                       Bad{0.01, nan, "duration_s"},
+                       Bad{0.01, inf, "duration_s"}}) {
+    SCOPED_TRACE(std::string(b.field) + " tick=" + std::to_string(b.tick_s) +
+                 " duration=" + std::to_string(b.duration_s));
+    sim::SimConfig cfg = sc.sim;
+    cfg.tick_s = b.tick_s;
+    cfg.duration_s = b.duration_s;
+    cfg.fleet_size = 2;
+    const auto expect_names_field = [&](auto&& fn) {
+      try {
+        fn();
+        ADD_FAILURE() << "bad clock accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(b.field), std::string::npos)
+            << e.what();
+      }
+    };
+    expect_names_field([&] {
+      core::LegacyManager m(lc);
+      sim::Simulator(env, cfg, bler, rem::common::Rng(1)).run(m);
+    });
+    expect_names_field([&] {
+      sim::Simulator(env, cfg, bler, rem::common::Rng(1))
+          .run_fleet(make_manager);
+    });
   }
+
+  // A zero horizon is a valid (empty) run on both entry points.
+  sim::SimConfig empty = sc.sim;
+  empty.duration_s = 0.0;
+  core::LegacyManager m(lc);
+  EXPECT_EQ(sim::Simulator(env, empty, bler, rem::common::Rng(1))
+                .run(m)
+                .handovers,
+            0);
+  EXPECT_EQ(sim::Simulator(env, empty, bler, rem::common::Rng(1))
+                .run_fleet(make_manager)
+                .per_ue.size(),
+            1u);
 }
 
 /// Run one fleet per seed on `threads` workers; results come back in seed

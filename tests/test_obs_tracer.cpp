@@ -276,7 +276,6 @@ TEST(SpanTracer, FleetDemuxedTracersReconcilePerUe) {
   auto sc = rem::trace::make_scenario(kRoute, kSpeed, kDur);
   sc.sim.faults = rem::testkit::golden_fault_preset("mixed", kDur);
   sc.sim.fleet_size = kFleet;
-  sc.sim.engine = rem::sim::SimEngine::kEventQueue;
 
   rem::common::Rng rng(9);
   auto cells = rem::sim::make_rail_deployment(sc.deployment, rng);

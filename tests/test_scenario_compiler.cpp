@@ -2,8 +2,9 @@
 // schema round-trips canonically, every malformed input is rejected with
 // the offending key/scenario named, compilation reproduces a hand-built
 // SimConfig bit-for-bit, time compression scales the fault timeline but
-// never magnitudes, and a compiled fleet run is bit-identical across
-// worker-thread counts.
+// never magnitudes, a compiled fleet run is bit-identical across
+// worker-thread counts, and seeded corruptions of every library file
+// either compile or are rejected with a documented exception type.
 #include "scenario/scenario.hpp"
 
 #include "common/thread_pool.hpp"
@@ -14,6 +15,9 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -210,6 +214,32 @@ TEST(ScenarioSchema, RejectsUnknownFaultKindAndPartialWindow) {
       });
 }
 
+TEST(ScenarioSchema, RejectsNonFiniteAndOutOfRangeNumbers) {
+  // strtod reads these spellings happily; an infinite horizon would make
+  // the compile-time fault probe loop forever.
+  for (const char* v : {"inf", "-inf", "nan", "1e999", "-1e999"}) {
+    SCOPED_TRACE(v);
+    expect_throw_with<std::runtime_error>("'duration_s': non-finite", [&] {
+      parse(minimal_json("  \"duration_s\": \"" + std::string(v) + "\",\n"));
+    });
+  }
+  // A long that does not fit an int used to wrap (4294967297 -> 1 UE).
+  for (const char* v : {"4294967297", "-2147483649", "99999999999999999999"}) {
+    SCOPED_TRACE(v);
+    expect_throw_with<std::runtime_error>("'ue.count': integer", [&] {
+      parse(minimal_json("  \"ue.count\": \"" + std::string(v) + "\",\n"));
+    });
+  }
+  expect_throw_with<std::runtime_error>("'seed': integer", [] {
+    parse(minimal_json("  \"seed\": \"99999999999999999999\",\n"));
+  });
+  // In-range class counts whose sum overflows an int.
+  expect_throw_with<std::runtime_error>("beyond int range", [] {
+    parse(minimal_json("  \"ue.pedestrian\": \"2000000000\",\n"
+                       "  \"ue.vehicular\": \"2000000000\",\n"));
+  });
+}
+
 TEST(ScenarioCompile, RejectsWithScenarioNamedInContext) {
   // Overlapping scripted windows of the same kind: FaultInjector's own
   // validation fires, rewrapped with the scenario name prefixed.
@@ -378,6 +408,152 @@ TEST(ScenarioCompile, CompiledFleetRunBitIdenticalAcrossOneTwoEightThreads) {
     }
     EXPECT_GT(at1[i].aggregate.handovers, 0);
   }
+}
+
+
+// --- seeded fuzz ----------------------------------------------------------
+
+/// Read and compile one scenario text. A reject must be one of the two
+/// documented exception types; anything else is reported with the input.
+/// Returns true when the text compiled.
+bool read_and_compile(const std::string& text) {
+  std::istringstream is(text);
+  try {
+    (void)scn::compile(scn::read_scenario_json(is));
+    return true;
+  } catch (const std::runtime_error&) {
+  } catch (const std::invalid_argument&) {
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "unexpected exception: " << e.what() << "\ninput:\n"
+                  << text;
+  }
+  return false;
+}
+
+std::vector<std::string> split_lines(const std::string& s) {
+  std::vector<std::string> out;
+  std::istringstream is(s);
+  for (std::string line; std::getline(is, line);) out.push_back(line);
+  return out;
+}
+
+/// Apply 1..3 seeded corruptions: whole-line (drop, duplicate, swap),
+/// single-byte (overwrite, insert, delete) or digit-level (rewrite one
+/// digit, or stretch a number by an exponent or a run of zeros).
+std::string corrupt(std::string s, rem::common::Rng& rng) {
+  const auto pick = [&rng](std::size_t n) {  // uniform index in [0, n)
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  const int edits = static_cast<int>(rng.uniform_int(1, 3));
+  for (int e = 0; e < edits && !s.empty(); ++e) {
+    switch (pick(3)) {
+      case 0: {
+        auto lines = split_lines(s);
+        const std::size_t i = pick(lines.size()), j = pick(lines.size());
+        switch (pick(3)) {
+          case 0: lines.erase(lines.begin() + static_cast<long>(i)); break;
+          case 1: lines.insert(lines.begin() + static_cast<long>(i), lines[j]);
+                  break;
+          default: std::swap(lines[i], lines[j]); break;
+        }
+        s.clear();
+        for (const auto& l : lines) s += l + "\n";
+        break;
+      }
+      case 1: {
+        const std::size_t i = pick(s.size());
+        const char b = static_cast<char>(rng.uniform_int(0, 255));
+        switch (pick(3)) {
+          case 0: s[i] = b; break;
+          case 1: s.insert(i, 1, b); break;
+          default: s.erase(i, 1); break;
+        }
+        break;
+      }
+      default: {
+        std::vector<std::size_t> digits;
+        for (std::size_t i = 0; i < s.size(); ++i)
+          if (s[i] >= '0' && s[i] <= '9') digits.push_back(i);
+        if (digits.empty()) break;
+        const std::size_t i = digits[pick(digits.size())];
+        static const char* const kStretch[] = {
+            "e9", "e-9", "e300", "e-300", "e999", "000000000",
+            "00000000000000000000"};
+        if (rng.bernoulli(0.5))
+          s[i] = static_cast<char>('0' + pick(10));
+        else
+          s.insert(i + 1, kStretch[pick(std::size(kStretch))]);
+        break;
+      }
+    }
+  }
+  return s;
+}
+
+TEST(ScenarioFuzz, SeededCorruptionsCompileOrRejectTyped) {
+  // Every corrupted library file must either compile or be rejected with
+  // std::runtime_error (reader) / std::invalid_argument (compiler): no
+  // other exception, no crash, no hang.
+  std::vector<std::string> library;
+  for (const auto& name : scn::list_scenario_names(REM_SCENARIO_DIR)) {
+    std::ifstream in(std::string(REM_SCENARIO_DIR) + "/" + name + ".json");
+    std::ostringstream text;
+    text << in.rdbuf();
+    library.push_back(text.str());
+    ASSERT_TRUE(read_and_compile(library.back())) << name;
+  }
+  ASSERT_GE(library.size(), 10u);
+  rem::common::Rng rng(20261017);
+  int compiled = 0, rejected = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    const auto& base = library[static_cast<std::size_t>(trial) % library.size()];
+    if (read_and_compile(corrupt(base, rng)))
+      ++compiled;
+    else
+      ++rejected;
+  }
+  // Both outcomes must be common, or the corruptions are too timid (all
+  // compile) or too blunt (none reach the compiler).
+  EXPECT_GT(compiled, 400);
+  EXPECT_GT(rejected, 400);
+}
+
+/// Library scenario `name` with the line holding `"key":` replaced by
+/// `"key": "value",`.
+std::string library_with(const std::string& name, const std::string& key,
+                         const std::string& value) {
+  std::ifstream in(std::string(REM_SCENARIO_DIR) + "/" + name + ".json");
+  std::string out;
+  bool replaced = false;
+  for (std::string line; std::getline(in, line);) {
+    if (line.find("\"" + key + "\":") != std::string::npos) {
+      line = "  \"" + key + "\": \"" + value + "\",";
+      replaced = true;
+    }
+    out += line + "\n";
+  }
+  EXPECT_TRUE(replaced) << name << " has no key " << key;
+  return out;
+}
+
+TEST(ScenarioFuzz, PinnedFindingsRejectWithContext) {
+  const auto compile_text = [](const std::string& text) {
+    std::istringstream is(text);
+    return scn::compile(scn::read_scenario_json(is));
+  };
+  // A finite but huge horizon with a random fault process: the compile
+  // probe built horizon / mean_gap windows until std::bad_alloc.
+  expect_throw_with<std::invalid_argument>("exceeds 86400 s", [&] {
+    compile_text(library_with("rail_hst350_signaling_storm", "duration_s",
+                              "20000000000000000000040"));
+  });
+  // A vanishing mean gap over an ordinary horizon: the same blow-up.
+  expect_throw_with<std::invalid_argument>(
+      "rfault.0.mean_gap_s 6.0000000000000004e-90 s would schedule", [&] {
+        compile_text(library_with("day_compressed_soak",
+                                  "rfault.0.mean_gap_s", "6e-90"));
+      });
 }
 
 }  // namespace
