@@ -28,8 +28,9 @@ int main() {
   std::printf("  %-10s %10s %10s\n", "speed", "Legacy", "REM");
   common::Rng rng(17);
   for (double speed : {200.0, 300.0}) {
-    const auto run = bench::run_route_parallel(trace::Route::kBeijingShanghai,
-                                               speed, 2000.0, {21, 22, 23});
+    const auto run = bench::run_route_parallel(
+        trace::make_scenario(trace::Route::kBeijingShanghai, speed, 2000.0),
+        {21, 22, 23});
     const auto lg = stalls_for(run.legacy.outage_durations_s, rng);
     const auto rm = stalls_for(run.rem.outage_durations_s, rng);
     std::printf("  %-10.0f %9.1fs %9.1fs   (outages: %zu vs %zu)\n", speed,

@@ -22,15 +22,15 @@
 //                REM_SCENARIO_DIR.
 //
 // Determinism: each scenario runs at its own seed through the fixed
-// fleet construction order (bench/fleet_runner.hpp); invariant checkers
+// fleet construction order (bench/scenario_runner.hpp); invariant checkers
 // ride every UE of every run, so a sweep that passes also certifies the
 // per-UE protocol invariants under each scenario's fault schedule.
 //
 // EXPERIMENTS.md documents the output schema; SCENARIOS.md catalogues the
 // library and the per-scenario gate rationale.
-#include "fleet_runner.hpp"
 #include "obs/registry.hpp"
 #include "scenario/scenario.hpp"
+#include "scenario_runner.hpp"
 #include "sim/fault_injector.hpp"
 
 #include <algorithm>
@@ -115,17 +115,15 @@ ScenarioResult run_scenario(const rem::scenario::CompiledScenario& c,
   r.fault_windows = c.scenario.sim.faults.windows.size();
   r.gates = c.gates;
 
-  const auto run = [&](bool use_rem) {
-    rem::bench::FleetScenarioRunOptions opts;
-    opts.use_rem = use_rem;
-    opts.context = "scenario '" + c.name + "' (seed " +
-                   std::to_string(c.seed) + ", " +
-                   std::string(use_rem ? "REM" : "legacy") + ")";
-    return rem::bench::run_fleet_scenario(c.scenario, c.seed, bler, opts)
+  rem::bench::RunOptions opts;
+  opts.context = "scenario '" + c.name + "', seed " + std::to_string(c.seed);
+  const auto run = [&](rem::bench::Manager family) {
+    return rem::bench::run_fleet_scenario(c.scenario, c.seed, family, bler,
+                                          opts)
         .aggregate;
   };
-  r.legacy = summarize(run(false));
-  r.rem = summarize(run(true));
+  r.legacy = summarize(run(rem::bench::Manager::kLegacy));
+  r.rem = summarize(run(rem::bench::Manager::kRem));
 
   // Per-scenario metric labels (OBSERVABILITY.md): every counter the
   // sweep emits is prefixed scenario.<name>.<manager>.

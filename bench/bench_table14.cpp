@@ -71,19 +71,17 @@ void table4_route(const char* label, trace::Route route, double speed,
   const auto stats = s.run(mgr);
   const auto summary = trace::summarize_event_log(stats.events);
 
-  std::size_t feedback = 0;
-  for (const auto& e : stats.events)
-    feedback += e.kind == sim::EventKind::kReportDelivered;
-
   std::printf("\n  %-22s %s at %.0f km/h\n", label, "synthetic", speed);
   std::printf("    route length          %8.0f km\n",
               sc.deployment.route_len_m / 1000.0);
   std::printf("    # cells (sites)       %8zu (%d)\n", cells.size(), sites);
   std::printf("    # policy configs      %8zu rules\n", policy_rules);
   std::printf("    # signaling messages  %8zu\n", stats.events.size());
-  std::printf("    # feedback delivered  %8zu\n", feedback);
+  std::printf("    # feedback delivered  %8zu\n",
+              summary.count(sim::EventKind::kReportDelivered));
   std::printf("    # handovers           %8zu (every %.1f s)\n",
-              summary.handovers, summary.mean_handover_interval_s);
+              summary.count(sim::EventKind::kHandoverComplete),
+              summary.mean_handover_interval_s);
   std::printf("    carriers              ");
   for (const auto& [ch, fc] : sc.deployment.channels)
     std::printf("%.1f MHz  ", fc / 1e6);

@@ -29,8 +29,9 @@ int main() {
 
   for (const auto& b : buckets) {
     const auto run =
-        bench::run_route_parallel(b.route, b.speed_kmh, 1500.0, {1, 2, 3},
-                                  /*run_rem=*/false);
+        bench::run_route_parallel(trace::make_scenario(b.route, b.speed_kmh,
+                                                       1500.0),
+                                  {1, 2, 3}, /*run_rem=*/false);
     const auto& lg = run.legacy;
     const double loop_freq =
         lg.loop_episodes > 0 ? lg.sim_time_s / lg.loop_episodes : 0.0;

@@ -1,12 +1,44 @@
-// Shared helper for the table/figure benches: build a scenario, run both
-// managers over several seeds, aggregate statistics.
+// The one bench runner: build a scenario's seeded world, run managers over
+// it machine-checked, aggregate statistics over seeds. The table/figure
+// benches (bench_table3 and bench_table14 build their own worlds), the
+// chaos and fleet sweeps and the runner-level tests all run through it.
 //
-// Seeds are independent by construction — every stochastic component draws
-// from common::Rng(seed) forks — so `run_route_parallel` farms one seed per
-// thread-pool job and then merges the per-seed results *in seed order*. The
-// serial and parallel paths share run_seed() and merge_seed_results(), so
-// their output is bit-identical for the same seed list regardless of thread
-// count.
+// Each step is defined once:
+//   build_world   common::Rng rng(seed)
+//                   -> make_rail_deployment(rng) -> make_hole_segments(rng)
+//                   -> RadioEnv(cells, propagation, rng.fork(), holes)
+//                   -> synthesize_policies(cells, mix, rng)
+//                   -> the legacy config (policies + TTTs).
+//                 World::rng is left there; callers fork on from it.
+//   run_checked   the checked-run core: the run's checkers (checker_config),
+//                 an optional span tracer, the simulator, and a
+//                 std::logic_error on any checker, reconcile or
+//                 fleet_invariant_report failure.
+//   run_seed / run_fleet_scenario
+//                 the two entry points, thin callers of both.
+//
+// After build_world each entry point keeps its own fork order, because
+// every golden digest and the fleet-of-one pins replay it:
+//   run_seed            legacy sim = fork 2; REM manager = fork 3,
+//                       REM sim = fork 4
+//   run_fleet_scenario  manager master = fork 2 (one fork per REM UE, in
+//                       UE order), sim = fork 3
+// The fleet forks its manager master *before* the simulation stream so that
+// per-UE manager construction never interleaves with the simulator's draws:
+// a fleet of one is bit-identical to a single-UE Simulator::run over the
+// same streams (tests/test_fleet.cpp pins it with faults armed,
+// tests/test_cascade.cpp with the resilience stack).
+//
+// Each entry point also keeps the simulator's own entry point: run_seed
+// drives Simulator::run (single-UE trace lines carry no `ue` key) and
+// run_fleet_scenario drives Simulator::run_fleet. Only run_seed passes the
+// exact pairwise conflict predicate behind SimStats::conflict_loop_*, and
+// only single-UE runs can carry a span tracer.
+//
+// Seeds are independent by construction, so run_route_parallel farms one
+// seed per thread-pool job and merges the per-seed results *in seed order*.
+// The serial and parallel paths share run_seed() and merge_seed_results(),
+// so their output is bit-identical for any thread count.
 #pragma once
 
 #include "common/stats.hpp"
@@ -14,143 +46,81 @@
 #include "core/legacy_manager.hpp"
 #include "core/rem_manager.hpp"
 #include "mobility/conflict.hpp"
-#include "net/backhaul.hpp"
 #include "obs/registry.hpp"
 #include "obs/tracer.hpp"
 #include "phy/bler_model.hpp"
+#include "sim/fleet.hpp"
 #include "sim/observer.hpp"
+#include "sim/schema.hpp"
 #include "testkit/invariants.hpp"
 #include "testkit/seeds.hpp"
 #include "trace/scenario.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
-#include <optional>
+#include <map>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <variant>
 #include <vector>
 
 namespace rem::bench {
 
-struct AggregateStats {
-  int handovers = 0;
-  int failures = 0;
+/// One manager's statistics over seeds. Every scalar SimStats counter
+/// folds by its sim::kStatsTable rule: kSum and kGlobal rows add up (each
+/// seed is its own world, so a world-global count sums across seeds) and
+/// kMax rows keep the largest value. The per-run means (the kMean/kMeanSet
+/// rows) keep one sample per seed in the Summaries below, and the
+/// per-run vectors concatenate in seed order. The inherited
+/// failures_by_cause, feedback_delays_s and events stay empty and
+/// avg_handover_interval_s and mean_throughput_bps stay zero: read
+/// by_cause and the Summaries instead (downtime_fraction here is the
+/// Summary, and failure_ratio_excluding_holes here reads by_cause).
+struct AggregateStats : sim::SimStats {
   std::map<sim::FailureCause, int> by_cause;
-  int loop_episodes = 0;
-  int loop_handovers = 0;
-  int conflict_loop_episodes = 0;
-  int conflict_loop_handovers = 0;
-  int intra_freq_conflict_loops = 0;
-  double sim_time_s = 0.0;
   common::Summary handover_interval_s;
   common::Summary feedback_delay_s;
-  std::vector<double> outage_durations_s;
-  std::vector<double> pre_failure_snrs_db;
   common::Summary throughput_bps;
   common::Summary downtime_fraction;
-  // Recovery-path accounting (fault injection / hardened FSM).
-  int report_retransmits = 0;
-  int t304_expiries = 0;
-  int t304_fallback_success = 0;
-  int duplicate_commands = 0;
-  int degraded_enters = 0;
-  double degraded_time_s = 0.0;
-  // Backhaul preparation + transport accounting (rem::net runs).
-  int prep_requests = 0;
-  int prep_retries = 0;
-  int prep_acks = 0;
-  int prep_rejects = 0;
-  int prep_fallbacks = 0;
-  int prep_failures = 0;
-  double prep_rtt_sum_s = 0.0;
-  int context_fetch_failures = 0;
-  std::uint64_t backhaul_sent = 0;
-  std::uint64_t backhaul_delivered = 0;
-  std::uint64_t backhaul_dropped_loss = 0;
-  std::uint64_t backhaul_dropped_partition = 0;
-  std::uint64_t backhaul_dropped_queue = 0;
-  std::uint64_t backhaul_dropped_crash = 0;
-  std::uint64_t backhaul_duplicated = 0;
-  std::uint64_t backhaul_reordered = 0;
-  double backhaul_latency_sum_s = 0.0;
-  // BS capacity / crash-restart accounting (sim::BsCapacityConfig runs).
-  int bs_jobs_submitted = 0;
-  int bs_jobs_served = 0;
-  int bs_jobs_queued = 0;
-  int bs_queue_shed = 0;
-  int bs_jobs_flushed = 0;
-  int bs_jobs_inflight_end = 0;
-  double bs_queue_wait_sum_s = 0.0;
-  int admission_rejects = 0;
-  int admission_backoff_retries = 0;
-  int bs_crashes = 0;
-  int bs_crash_dropped_msgs = 0;
-  int stale_context_responses = 0;
 
   void add(const sim::SimStats& s) {
-    pre_failure_snrs_db.insert(pre_failure_snrs_db.end(),
-                               s.pre_failure_snrs_db.begin(),
-                               s.pre_failure_snrs_db.end());
+    for (const auto& row : sim::kStatsTable)
+      std::visit(
+          [&](auto field) {
+            switch (row.merge) {
+              case sim::MergeRule::kSum:
+              case sim::MergeRule::kGlobal:
+                this->*field += s.*field;
+                break;
+              case sim::MergeRule::kMax:
+                this->*field = std::max(this->*field, s.*field);
+                break;
+              case sim::MergeRule::kMean:
+              case sim::MergeRule::kMeanSet:
+                break;  // the Summaries below
+            }
+          },
+          row.field);
     throughput_bps.add(s.mean_throughput_bps);
     downtime_fraction.add(s.downtime_fraction);
-    handovers += s.handovers;
-    failures += s.failures;
-    for (const auto& [c, n] : s.failures_by_cause) by_cause[c] += n;
-    loop_episodes += s.loop_episodes;
-    loop_handovers += s.loop_handovers;
-    conflict_loop_episodes += s.conflict_loop_episodes;
-    conflict_loop_handovers += s.conflict_loop_handovers;
-    intra_freq_conflict_loops += s.intra_freq_conflict_loops;
-    sim_time_s += s.sim_time_s;
-    report_retransmits += s.report_retransmits;
-    t304_expiries += s.t304_expiries;
-    t304_fallback_success += s.t304_fallback_success;
-    duplicate_commands += s.duplicate_commands;
-    degraded_enters += s.degraded_enters;
-    degraded_time_s += s.degraded_time_s;
-    prep_requests += s.prep_requests;
-    prep_retries += s.prep_retries;
-    prep_acks += s.prep_acks;
-    prep_rejects += s.prep_rejects;
-    prep_fallbacks += s.prep_fallbacks;
-    prep_failures += s.prep_failures;
-    prep_rtt_sum_s += s.prep_rtt_sum_s;
-    context_fetch_failures += s.context_fetch_failures;
-    backhaul_sent += s.backhaul_sent;
-    backhaul_delivered += s.backhaul_delivered;
-    backhaul_dropped_loss += s.backhaul_dropped_loss;
-    backhaul_dropped_partition += s.backhaul_dropped_partition;
-    backhaul_dropped_queue += s.backhaul_dropped_queue;
-    backhaul_dropped_crash += s.backhaul_dropped_crash;
-    backhaul_duplicated += s.backhaul_duplicated;
-    backhaul_reordered += s.backhaul_reordered;
-    backhaul_latency_sum_s += s.backhaul_latency_sum_s;
-    bs_jobs_submitted += s.bs_jobs_submitted;
-    bs_jobs_served += s.bs_jobs_served;
-    bs_jobs_queued += s.bs_jobs_queued;
-    bs_queue_shed += s.bs_queue_shed;
-    bs_jobs_flushed += s.bs_jobs_flushed;
-    bs_jobs_inflight_end += s.bs_jobs_inflight_end;
-    bs_queue_wait_sum_s += s.bs_queue_wait_sum_s;
-    admission_rejects += s.admission_rejects;
-    admission_backoff_retries += s.admission_backoff_retries;
-    bs_crashes += s.bs_crashes;
-    bs_crash_dropped_msgs += s.bs_crash_dropped_msgs;
-    stale_context_responses += s.stale_context_responses;
     if (s.avg_handover_interval_s > 0)
       handover_interval_s.add(s.avg_handover_interval_s);
     feedback_delay_s.add_all(s.feedback_delays_s);
+    for (const auto& [c, n] : s.failures_by_cause) by_cause[c] += n;
+    pre_failure_snrs_db.insert(pre_failure_snrs_db.end(),
+                               s.pre_failure_snrs_db.begin(),
+                               s.pre_failure_snrs_db.end());
     outage_durations_s.insert(outage_durations_s.end(),
                               s.outage_durations_s.begin(),
                               s.outage_durations_s.end());
   }
 
-  double failure_ratio() const {
-    const int den = handovers + failures;
-    return den > 0 ? static_cast<double>(failures) / den : 0.0;
-  }
   double cause_ratio(sim::FailureCause c) const {
     const int den = handovers + failures;
     const auto it = by_cause.find(c);
@@ -171,7 +141,7 @@ struct ScenarioRun {
   std::map<std::string, int> conflict_histogram;
   int total_conflicts = 0;
   /// Per-manager metrics merged in seed order (empty unless
-  /// SeedRunOptions::collect_metrics). Simulated-time metrics only, so the
+  /// RunOptions::collect_metrics). Simulated-time metrics only, so the
   /// merged snapshots are bit-identical for any worker-thread count.
   obs::MetricsSnapshot legacy_metrics;
   obs::MetricsSnapshot rem_metrics;
@@ -186,63 +156,182 @@ struct SeedRunResult {
   std::map<std::string, int> conflict_histogram;
   int total_conflicts = 0;
   /// This seed's metrics per manager (empty unless
-  /// SeedRunOptions::collect_metrics was set).
+  /// RunOptions::collect_metrics was set).
   obs::MetricsSnapshot legacy_metrics;
   obs::MetricsSnapshot rem_metrics;
 };
 
-/// Per-seed run knobs beyond the scenario itself.
-struct SeedRunOptions {
-  sim::FaultConfig faults;    ///< applied to both managers' simulations
-  bool record_events = false; ///< keep the full SimStats::events log
-  /// Attach a rem::testkit::InvariantChecker to every simulation and
-  /// throw std::logic_error (with the checker's report) on any violation.
-  /// Defaults ON so all benches and tests run machine-checked; the
+/// What a run needs beyond its trace::Scenario. Everything the simulation
+/// reads — faults, backhaul, BS capacity, fleet size and derivation, event
+/// recording, the resilience knobs — is set on trace::Scenario::sim.
+struct RunOptions {
+  /// Attach one rem::testkit::InvariantChecker per UE and throw
+  /// std::logic_error (with the checker's report) on any violation; fleet
+  /// runs also throw on testkit::fleet_invariant_report. Defaults ON so
+  /// all benches and tests run machine-checked; the
   /// REM_CHECK_INVARIANTS=0 environment variable is a global kill switch.
   bool check_invariants = true;
-  /// Attach a rem::obs::SpanTracer recording into a per-run Registry,
-  /// cross-check it against SimStats (throwing std::logic_error on any
-  /// reconcile mismatch), and return the snapshot in SeedRunResult.
-  /// Defaults to the REM_METRICS environment knob. Only simulated-time
-  /// metrics are recorded here, so results stay deterministic.
+  /// Single-UE runs: attach a rem::obs::SpanTracer recording into a
+  /// per-run Registry, cross-check it against SimStats (throwing
+  /// std::logic_error on any reconcile mismatch), and return the snapshot
+  /// in SeedRunResult. Defaults to the REM_METRICS environment knob. Only
+  /// simulated-time metrics are recorded, so results stay deterministic.
+  /// Fleet runs attach no tracer.
   bool collect_metrics = obs::metrics_enabled();
-  /// When set, replaces the scenario's backhaul transport config (latency
-  /// distribution, loss/reorder/duplicate probabilities, or disabling the
-  /// transport entirely) for both managers' simulations.
-  std::optional<net::BackhaulConfig> backhaul;
-  /// When set, replaces the scenario's per-BS capacity model config
-  /// (slots, queue bound, service times, admission control) for both
-  /// managers' simulations.
-  std::optional<sim::BsCapacityConfig> bs_capacity;
+  /// Names the run in violation messages ("invariant violations in
+  /// legacy run (<context>)"). run_seed and run_fleet_scenario fill an
+  /// empty one with the scenario's route, speed and seed.
+  std::string context;
+  /// Called after each traced run reconciles, with the manager family's
+  /// name ("legacy" or "rem") and the run's tracer (for its spans).
+  std::function<void(const std::string& manager, const obs::SpanTracer&)>
+      trace_sink;
 };
 
-/// Simulate a single seed (legacy manager, and REM when `run_rem`).
-/// Thread-safe: all state derives from the seed; `bler` is read-only.
-/// `opts.faults` is applied to both managers' simulations; the schedule
-/// itself is seeded from the per-seed Rng, so runs stay bit-identical for
-/// the same (seed, faults) pair. The invariant checker (opts) observes
-/// each run without drawing randomness, so attaching it never changes
-/// results.
-inline SeedRunResult run_seed(trace::Route route, double speed_kmh,
-                              double duration_s, std::uint64_t seed,
-                              bool run_rem, const phy::BlerModel& bler,
-                              const SeedRunOptions& opts) {
-  SeedRunResult out;
-  auto sc = trace::make_scenario(route, speed_kmh, duration_s);
-  sc.sim.faults = opts.faults;
-  sc.sim.record_events = sc.sim.record_events || opts.record_events;
-  if (opts.backhaul) sc.sim.backhaul = *opts.backhaul;
-  if (opts.bs_capacity) sc.sim.bs_capacity = *opts.bs_capacity;
-  const bool check = opts.check_invariants && testkit::invariants_enabled();
+/// Manager family of a run; it fixes what the invariant checker expects.
+enum class Manager { kLegacy, kRem };
+
+inline const char* manager_name(Manager m) {
+  return m == Manager::kRem ? "rem" : "legacy";
+}
+
+/// The checker configuration of every run: the run's own SimConfig and
+/// cell count; REM's degraded entries must coincide with an estimate older
+/// than RemConfig::estimate_staleness_s, while legacy has no fallback mode
+/// at all; fault windows are legal exactly when the run schedules faults.
+inline testkit::CheckerConfig checker_config(const sim::SimConfig& cfg,
+                                             std::size_t num_cells,
+                                             Manager family) {
+  testkit::CheckerConfig c;
+  c.sim = cfg;
+  c.num_cells = num_cells;
+  c.faults_expected = !cfg.faults.empty();
+  if (family == Manager::kRem)
+    c.staleness_bound_s = core::RemConfig{}.estimate_staleness_s;
+  else
+    c.expect_no_degraded = true;
+  return c;
+}
+
+/// One seed's world (see the header for the construction order).
+struct World {
+  sim::RadioEnv env;
+  /// The synthesized legacy policies and the scenario's TTTs.
+  core::LegacyConfig legacy;
+  /// The seed's stream after policy synthesis; callers fork on from here.
+  common::Rng rng;
+};
+
+inline World build_world(const trace::Scenario& sc, std::uint64_t seed) {
   common::Rng rng(seed);
   auto cells = sim::make_rail_deployment(sc.deployment, rng);
   auto holes = sim::make_hole_segments(sc.deployment, rng);
-  sim::RadioEnv env(cells, sc.propagation, rng.fork(), holes);
-  auto policies = trace::synthesize_policies(cells, sc.policy_mix, rng);
+  sim::RadioEnv env(std::move(cells), sc.propagation, rng.fork(),
+                    std::move(holes));
+  core::LegacyConfig lc;
+  lc.policies = trace::synthesize_policies(env.cells(), sc.policy_mix, rng);
+  lc.measurement.intra_ttt_s = sc.policy_mix.intra_ttt_s;
+  lc.measurement.inter_ttt_s = sc.policy_mix.inter_ttt_s;
+  return World{std::move(env), std::move(lc), rng};
+}
+
+/// The checked-run core. Runs `drive(simulator)` over `w` with `cfg` and
+/// the observers `opts` asks for, and throws std::logic_error on any
+/// violation. `drive` calls Simulator::run for a single-UE run (checker
+/// and tracer share one ObserverFanout) or Simulator::run_fleet, returning
+/// sim::FleetResult (one checker per UE behind a UeObserverDemux, then
+/// fleet_invariant_report; never a tracer). No observer draws randomness,
+/// so a checked run is bit-identical to a bare one. A traced run's
+/// snapshot goes to `*metrics_out` when given.
+template <class Drive>
+auto run_checked(const World& w, const sim::SimConfig& cfg, Manager family,
+                 common::Rng sim_rng, const phy::BlerModel& bler,
+                 const RunOptions& opts, Drive&& drive,
+                 obs::MetricsSnapshot* metrics_out = nullptr) {
+  using Result = std::invoke_result_t<Drive&, sim::Simulator&>;
+  constexpr bool kFleet = std::is_same_v<Result, sim::FleetResult>;
+  const bool check = opts.check_invariants && testkit::invariants_enabled();
+  const bool trace = !kFleet && opts.collect_metrics;
+  const std::string who =
+      std::string(manager_name(family)) + (kFleet ? " fleet" : " run") +
+      (opts.context.empty() ? "" : " (" + opts.context + ")");
+  const auto fail_on = [](const std::vector<std::string>& lines,
+                          const std::string& what) {
+    if (lines.empty()) return;
+    std::string msg = what;
+    for (const auto& line : lines) msg += "\n  " + line;
+    throw std::logic_error(msg);
+  };
+
+  std::vector<std::unique_ptr<testkit::InvariantChecker>> checkers;
+  obs::Registry registry;
+  obs::SpanTracer tracer(&registry);
+  sim::ObserverFanout fanout;  // single-UE: checker and tracer
+  sim::UeObserverDemux demux;  // fleet: checker k sees UE k only
+  sim::SimConfig run_cfg = cfg;
+  if (check) {
+    const auto ccfg = checker_config(cfg, w.env.cells().size(), family);
+    for (int k = 0; k < (kFleet ? cfg.fleet_size : 1); ++k) {
+      checkers.push_back(std::make_unique<testkit::InvariantChecker>(ccfg));
+      if (kFleet)
+        demux.add(checkers.back().get());
+      else
+        fanout.add(checkers.back().get());
+    }
+  }
+  if (trace) fanout.add(&tracer);
+  if (kFleet && check)
+    run_cfg.observer = &demux;
+  else if (check || trace)
+    run_cfg.observer = &fanout;
+
+  sim::Simulator s(w.env, run_cfg, bler, std::move(sim_rng));
+  Result result = drive(s);
+
+  for (std::size_t k = 0; k < checkers.size(); ++k)
+    if (checkers[k]->violation_count() > 0)
+      throw std::logic_error(
+          "invariant violations in " +
+          (kFleet ? "UE " + std::to_string(k) + " of " : std::string()) +
+          who + ":\n" + checkers[k]->report());
+  if constexpr (kFleet) {
+    if (check)
+      fail_on(testkit::fleet_invariant_report(result),
+              "fleet invariant violations in the aggregate of " + who);
+  } else if (trace) {
+    fail_on(tracer.reconcile(result),
+            "trace/stats reconcile mismatches in " + who);
+    if (opts.trace_sink) opts.trace_sink(manager_name(family), tracer);
+    if (metrics_out != nullptr) *metrics_out = registry.snapshot();
+  }
+  return result;
+}
+
+/// `opts` with the default context filled in.
+inline RunOptions with_context(RunOptions opts, const trace::Scenario& sc,
+                               std::uint64_t seed) {
+  if (opts.context.empty())
+    opts.context = "route " + trace::route_name(sc.route) + ", " +
+                   std::to_string(sc.speed_kmh) + " km/h, seed " +
+                   std::to_string(seed);
+  return opts;
+}
+
+/// Simulate one seed of `sc` single-UE: legacy, and REM when `run_rem`.
+/// Thread-safe: all state derives from the seed; `bler` is read-only.
+/// Every stochastic component, the fault schedule included, draws from
+/// the seed's Rng, so runs are bit-identical for the same (sc, seed).
+inline SeedRunResult run_seed(const trace::Scenario& sc, std::uint64_t seed,
+                              bool run_rem, const phy::BlerModel& bler,
+                              const RunOptions& opts = {}) {
+  const RunOptions o = with_context(opts, sc, seed);
+  SeedRunResult out;
+  World w = build_world(sc, seed);
 
   // Exact pairwise conflict predicate for loop attribution, restricted
   // to cells that actually cover common ground.
-  const auto pcs = trace::to_policy_cells(cells, policies);
+  const auto& cells = w.env.cells();
+  const auto pcs = trace::to_policy_cells(cells, w.legacy.policies);
   const double reach = 2.0 * sc.deployment.site_spacing_mean_m;
   const auto neighbor_filter = [&](std::size_t i, std::size_t j) {
     return std::abs(cells[i].site_pos_m - cells[j].site_pos_m) <= reach;
@@ -261,88 +350,48 @@ inline SeedRunResult run_seed(trace::Route route, double speed_kmh,
     return pairs.count({a, b}) > 0;
   };
 
-  // Observation: one fanout per simulation hosting the invariant checker
-  // and/or the span tracer, both attached via SimConfig::observer. Neither
-  // draws randomness, and the RNG fork order below is identical whatever
-  // is attached, so observed and bare paths produce bit-identical
-  // statistics. A checker violation or a tracer/stats reconcile mismatch
-  // is a simulator (or tracer) bug, not a statistical outcome, so either
-  // aborts the run loudly instead of skewing aggregates.
-  const bool collect = opts.collect_metrics;
-  const auto run_context = [&](const std::string& who) {
-    return who + " run (route " + trace::route_name(route) + ", " +
-           std::to_string(speed_kmh) + " km/h, seed " +
-           std::to_string(seed) + ")";
-  };
-  const auto run_observed = [&](sim::MobilityManager& m, common::Rng run_rng,
-                                const std::function<bool(int, int)>& pf,
-                                testkit::CheckerConfig ccfg,
-                                obs::MetricsSnapshot* metrics_out) {
-    if (!check && !collect) {
-      sim::Simulator s(env, sc.sim, bler, std::move(run_rng));
-      return s.run(m, pf);
-    }
-    testkit::InvariantChecker checker(std::move(ccfg));
-    obs::Registry registry;
-    obs::SpanTracer tracer(&registry);
-    sim::ObserverFanout fanout;
-    if (check) fanout.add(&checker);
-    if (collect) fanout.add(&tracer);
-    sim::SimConfig observed = sc.sim;
-    observed.observer = &fanout;
-    sim::Simulator s(env, observed, bler, std::move(run_rng));
-    auto stats = s.run(m, pf);
-    if (check && checker.violation_count() > 0)
-      throw std::logic_error("invariant violations in " +
-                             run_context(m.name()) + ":\n" +
-                             checker.report());
-    if (collect) {
-      const auto mismatches = tracer.reconcile(stats);
-      if (!mismatches.empty()) {
-        std::string msg =
-            "trace/stats reconcile mismatches in " + run_context(m.name());
-        for (const auto& line : mismatches) msg += "\n  " + line;
-        throw std::logic_error(msg);
-      }
-      if (metrics_out != nullptr) *metrics_out = registry.snapshot();
-    }
-    return stats;
-  };
-  testkit::CheckerConfig base;
-  base.sim = sc.sim;
-  base.num_cells = cells.size();
-  base.faults_expected = !opts.faults.empty();
-
-  core::LegacyConfig lc;
-  lc.policies = policies;
-  lc.measurement.intra_ttt_s = sc.policy_mix.intra_ttt_s;
-  lc.measurement.inter_ttt_s = sc.policy_mix.inter_ttt_s;
-  core::LegacyManager legacy(lc);
-  testkit::CheckerConfig legacy_cfg = base;
-  legacy_cfg.expect_no_degraded = true;  // legacy has no fallback mode
-  out.legacy = run_observed(legacy, rng.fork(), pair_fn, legacy_cfg,
-                            &out.legacy_metrics);
+  core::LegacyManager legacy(w.legacy);
+  out.legacy = run_checked(
+      w, sc.sim, Manager::kLegacy, w.rng.fork(), bler, o,
+      [&](sim::Simulator& s) { return s.run(legacy, pair_fn); },
+      &out.legacy_metrics);
 
   if (run_rem) {
-    core::RemManager remm(core::RemConfig{}, rng.fork());
-    testkit::CheckerConfig rem_cfg = base;
-    rem_cfg.staleness_bound_s = core::RemConfig{}.estimate_staleness_s;
+    core::RemManager remm(core::RemConfig{}, w.rng.fork());
     // REM's coordinated policy is conflict-free by Theorem 2.
-    out.rem = run_observed(remm, rng.fork(), [](int, int) { return false; },
-                           rem_cfg, &out.rem_metrics);
+    out.rem = run_checked(
+        w, sc.sim, Manager::kRem, w.rng.fork(), bler, o,
+        [&](sim::Simulator& s) {
+          return s.run(remm, [](int, int) { return false; });
+        },
+        &out.rem_metrics);
     out.has_rem = true;
   }
   return out;
 }
 
-/// Back-compat overload: bare fault schedule, events off, checker on.
-inline SeedRunResult run_seed(trace::Route route, double speed_kmh,
-                              double duration_s, std::uint64_t seed,
-                              bool run_rem, const phy::BlerModel& bler,
-                              const sim::FaultConfig& faults = {}) {
-  SeedRunOptions opts;
-  opts.faults = faults;
-  return run_seed(route, speed_kmh, duration_s, seed, run_rem, bler, opts);
+/// Run one fleet of `family` managers over `sc`: `sc.sim` carries
+/// fleet_size, the fleet derivation, faults, backhaul and BS capacity (a
+/// compiled rem::scenario world, or hand assembly). Returns per-UE stats
+/// indexed by UE id plus the UE-order aggregate (sim/fleet.hpp).
+inline sim::FleetResult run_fleet_scenario(const trace::Scenario& sc,
+                                           std::uint64_t seed,
+                                           Manager family,
+                                           const phy::BlerModel& bler,
+                                           const RunOptions& opts = {}) {
+  World w = build_world(sc, seed);
+  common::Rng mgr_rng = w.rng.fork();  // manager master stream (see header)
+  common::Rng sim_rng = w.rng.fork();  // simulation stream
+  return run_checked(
+      w, sc.sim, family, std::move(sim_rng), bler,
+      with_context(opts, sc, seed), [&](sim::Simulator& s) {
+        return s.run_fleet([&](int) -> std::unique_ptr<sim::MobilityManager> {
+          if (family == Manager::kRem)
+            return std::make_unique<core::RemManager>(core::RemConfig{},
+                                                      mgr_rng.fork());
+          return std::make_unique<core::LegacyManager>(w.legacy);
+        });
+      });
 }
 
 /// Fold per-seed results in the order given. Seed order — not completion
@@ -362,27 +411,16 @@ inline ScenarioRun merge_seed_results(const std::vector<SeedRunResult>& rs) {
   return out;
 }
 
-inline ScenarioRun run_route(trace::Route route, double speed_kmh,
-                             double duration_s,
+inline ScenarioRun run_route(const trace::Scenario& sc,
                              const std::vector<std::uint64_t>& seeds,
-                             bool run_rem, const SeedRunOptions& opts) {
+                             bool run_rem = true,
+                             const RunOptions& opts = {}) {
   phy::LogisticBlerModel bler;
   std::vector<SeedRunResult> rs;
   rs.reserve(seeds.size());
   for (const auto seed : seeds)
-    rs.push_back(
-        run_seed(route, speed_kmh, duration_s, seed, run_rem, bler, opts));
+    rs.push_back(run_seed(sc, seed, run_rem, bler, opts));
   return merge_seed_results(rs);
-}
-
-inline ScenarioRun run_route(trace::Route route, double speed_kmh,
-                             double duration_s,
-                             const std::vector<std::uint64_t>& seeds,
-                             bool run_rem = true,
-                             const sim::FaultConfig& faults = {}) {
-  SeedRunOptions opts;
-  opts.faults = faults;
-  return run_route(route, speed_kmh, duration_s, seeds, run_rem, opts);
 }
 
 /// Worker count for parallel benches: the REM_BENCH_THREADS environment
@@ -399,31 +437,18 @@ inline std::size_t bench_threads() {
 /// thread-pool job; results merge in seed order, so the output is
 /// bit-identical to run_route() for any num_threads. num_threads == 0 reads
 /// REM_BENCH_THREADS / hardware concurrency via bench_threads().
-inline ScenarioRun run_route_parallel(trace::Route route, double speed_kmh,
-                                      double duration_s,
+inline ScenarioRun run_route_parallel(const trace::Scenario& sc,
                                       const std::vector<std::uint64_t>& seeds,
-                                      bool run_rem, std::size_t num_threads,
-                                      const SeedRunOptions& opts) {
+                                      bool run_rem = true,
+                                      std::size_t num_threads = 0,
+                                      const RunOptions& opts = {}) {
   if (num_threads == 0) num_threads = bench_threads();
   phy::LogisticBlerModel bler;
   std::vector<SeedRunResult> rs(seeds.size());
   common::parallel_for(seeds.size(), num_threads, [&](std::size_t i) {
-    rs[i] = run_seed(route, speed_kmh, duration_s, seeds[i], run_rem, bler,
-                     opts);
+    rs[i] = run_seed(sc, seeds[i], run_rem, bler, opts);
   });
   return merge_seed_results(rs);
-}
-
-inline ScenarioRun run_route_parallel(trace::Route route, double speed_kmh,
-                                      double duration_s,
-                                      const std::vector<std::uint64_t>& seeds,
-                                      bool run_rem = true,
-                                      std::size_t num_threads = 0,
-                                      const sim::FaultConfig& faults = {}) {
-  SeedRunOptions opts;
-  opts.faults = faults;
-  return run_route_parallel(route, speed_kmh, duration_s, seeds, run_rem,
-                            num_threads, opts);
 }
 
 inline double pct(double x) { return 100.0 * x; }

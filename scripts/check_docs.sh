@@ -6,7 +6,9 @@
 #      doc comment on each top-level class/struct, so the observability
 #      API cannot drift undocumented;
 #   3. the scenario catalogue, the DESIGN.md fault-kind table and the
-#      OBSERVABILITY.md counter table must match the code (sections 2-4).
+#      OBSERVABILITY.md counter table must match the code (sections 2-4);
+#   4. every `bench::` symbol the top-level *.md files name must be
+#      declared in bench/*.hpp (section 6).
 # Exits non-zero listing every violation; prints nothing on success
 # beyond a one-line summary.
 set -u
@@ -135,8 +137,34 @@ for hdr in src/obs/*.hpp; do
   fi
 done
 
+# --- 6. bench:: symbols in the docs <-> bench/*.hpp -------------------------
+# The runner API lives in bench/*.hpp. Every `bench::name` (or
+# `rem::bench::name`) a top-level *.md file mentions must be a struct,
+# class, enum or function declared there, so docs cannot keep naming a
+# runner symbol that was renamed or deleted. Only the first name after
+# `bench::` is checked (`bench::RunOptions::context` checks RunOptions).
+bench_declared=$( {
+  sed -n 's/^\(struct\|class\|enum class\) \([A-Za-z_][A-Za-z0-9_]*\).*/\2/p' bench/*.hpp
+  # Functions: a column-0 declaration line ending its name with "(".
+  grep -hoE '^[A-Za-z][^(;=/]*[ *&][A-Za-z_][A-Za-z0-9_]*\(' bench/*.hpp |
+    sed -E 's/.*[ *&]([A-Za-z_][A-Za-z0-9_]*)\($/\1/'
+} | sort -u)
+if [ -z "$bench_declared" ]; then
+  echo "BENCH SYMBOL LINT BROKEN: no names parsed from bench/*.hpp"
+  fail=1
+fi
+for md in ./*.md; do
+  for name in $(grep -oE '(rem::)?bench::[A-Za-z_][A-Za-z0-9_]*' "$md" |
+                sed 's/.*bench:://' | sort -u); do
+    if ! printf '%s\n' "$bench_declared" | grep -qx "$name"; then
+      echo "STALE BENCH SYMBOL: $md names bench::$name, which bench/*.hpp does not declare"
+      fail=1
+    fi
+  done
+done
+
 if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED"
   exit 1
 fi
-echo "check_docs: ok (markdown links + scenario catalogue + fault-kind table + event counter table + src/obs header docs)"
+echo "check_docs: ok (markdown links + scenario catalogue + fault-kind table + event counter table + src/obs header docs + bench:: symbols)"

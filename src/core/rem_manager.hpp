@@ -64,7 +64,7 @@ class RemManager final : public sim::MobilityManager {
   /// (Simulator::run_fleet) construct one instance per UE through the
   /// factory, forking `rng` from a dedicated manager master stream in
   /// UE-id order *before* the simulation stream is forked, so manager
-  /// draws never interleave with simulator draws (bench/fleet_runner.hpp
+  /// draws never interleave with simulator draws (bench/scenario_runner.hpp
   /// documents the full construction-order contract).
   explicit RemManager(RemConfig cfg, common::Rng rng)
       : cfg_(cfg), rng_(std::move(rng)) {}

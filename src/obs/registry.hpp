@@ -188,7 +188,7 @@ class Registry {
 Registry& global_registry();
 
 /// The REM_METRICS environment knob, read once at first use: "1" enables
-/// the global registry (and makes bench::SeedRunOptions collect metrics by
+/// the global registry (and makes bench::RunOptions collect metrics by
 /// default); unset/"0" disables. Changing the variable after first use has
 /// no effect.
 bool metrics_enabled();

@@ -4,7 +4,10 @@
 #pragma once
 
 #include "sim/events.hpp"
+#include "sim/schema.hpp"
 
+#include <array>
+#include <cstddef>
 #include <iosfwd>
 #include <string>
 
@@ -20,26 +23,20 @@ void write_event_csv_file(const sim::EventLog& log,
 sim::EventLog read_event_csv(std::istream& is);
 sim::EventLog read_event_csv_file(const std::string& path);
 
-/// Summary statistics straight from a log (handover interval, failure
-/// counts) — the first-pass analysis the paper runs over its captures.
+/// Summary statistics straight from a log — the first-pass analysis the
+/// paper runs over its captures: the event count of every kind and the
+/// mean interval between completed handovers.
 struct LogSummary {
-  std::size_t handovers = 0;
-  std::size_t failures = 0;
-  std::size_t report_losses = 0;
-  std::size_t command_losses = 0;
-  std::size_t report_retransmits = 0;
-  std::size_t t304_expiries = 0;
-  std::size_t duplicate_commands = 0;
-  std::size_t fault_windows = 0;     ///< fault_start events
-  std::size_t degraded_episodes = 0; ///< degraded_enter events
-  // Backhaul preparation / context-fetch events (rem::net transport).
-  std::size_t prep_retries = 0;
-  std::size_t prep_rejects = 0;
-  std::size_t prep_fallbacks = 0;
-  std::size_t prep_failures = 0;
-  std::size_t context_fetch_failures = 0;
+  /// Events per kind, indexed by sim::event_index (kEventTable order).
+  std::array<std::size_t, sim::kNumEventKinds> counts{};
+  /// Mean gap between handover_complete events (0 with fewer than two).
   double mean_handover_interval_s = 0.0;
+
+  std::size_t count(sim::EventKind k) const {
+    return counts[sim::event_index(k)];
+  }
 };
+/// Throws std::out_of_range on an event kind outside the enum.
 LogSummary summarize_event_log(const sim::EventLog& log);
 
 }  // namespace rem::trace

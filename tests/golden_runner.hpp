@@ -3,7 +3,6 @@
 // sides must agree byte-for-byte, so the logic lives in one place.
 #pragma once
 
-#include "fleet_runner.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario_runner.hpp"
 #include "testkit/golden.hpp"
@@ -16,9 +15,9 @@ namespace rem::testkit {
 /// attached) and produce its digest.
 inline TraceDigest run_golden_case(const GoldenCase& c) {
   phy::LogisticBlerModel bler;
-  bench::SeedRunOptions opts;
-  opts.faults = golden_fault_preset(c.fault_preset, c.duration_s);
-  opts.record_events = true;
+  auto sc = trace::make_scenario(c.route, c.speed_kmh, c.duration_s);
+  sc.sim.faults = golden_fault_preset(c.fault_preset, c.duration_s);
+  sc.sim.record_events = true;
   if (c.fault_preset == "backhaul_loss_reorder") {
     // Pair the scripted loss windows with a transport that also reorders
     // and duplicates, so every frame path shows up in the digest.
@@ -26,10 +25,9 @@ inline TraceDigest run_golden_case(const GoldenCase& c) {
     bh.loss_prob = 0.02;
     bh.reorder_prob = 0.15;
     bh.duplicate_prob = 0.10;
-    opts.backhaul = bh;
+    sc.sim.backhaul = bh;
   }
-  const auto r = bench::run_seed(c.route, c.speed_kmh, c.duration_s, c.seed,
-                                 /*run_rem=*/true, bler, opts);
+  const auto r = bench::run_seed(sc, c.seed, /*run_rem=*/true, bler);
   return make_digest(c, r.legacy, r.rem);
 }
 
@@ -37,17 +35,17 @@ inline TraceDigest run_golden_case(const GoldenCase& c) {
 /// recorded, one invariant checker per UE) and produce its digest.
 inline TraceDigest run_fleet_golden_case(const FleetGoldenCase& c) {
   phy::LogisticBlerModel bler;
-  bench::FleetRunOptions opts;
-  opts.fleet_size = c.fleet_size;
-  opts.faults = golden_fault_preset(c.fault_preset, c.duration_s);
-  opts.record_events = true;
+  auto sc = trace::make_scenario(c.route, c.speed_kmh, c.duration_s);
+  sc.sim.fleet_size = c.fleet_size;
+  sc.sim.faults = golden_fault_preset(c.fault_preset, c.duration_s);
+  sc.sim.record_events = true;
   if (c.fault_preset == "region_outage" || c.fault_preset == "cascade_storm") {
     // Correlated-fault cases run with the full resilience stack armed so
     // load ads, breaker transitions, and storm jitter all land in the pin.
-    opts.load_ad_staleness_s = 1.0;
-    opts.breaker_trip_k = 2;
-    opts.breaker_cooldown_s = 1.5;
-    opts.storm_jitter_frac = 0.5;
+    sc.sim.load_ad_staleness_s = 1.0;
+    sc.sim.breaker_trip_k = 2;
+    sc.sim.breaker_cooldown_s = 1.5;
+    sc.sim.storm_jitter_frac = 0.5;
   }
   if (c.fault_preset == "cascade_storm") {
     // Single-slot stations with short queues: the cascade's background
@@ -57,14 +55,12 @@ inline TraceDigest run_fleet_golden_case(const FleetGoldenCase& c) {
     cap.slots = 1;
     cap.queue_capacity = 4;
     cap.admission_load_threshold = 0.5;
-    opts.bs_capacity = cap;
+    sc.sim.bs_capacity = cap;
   }
-  opts.use_rem = false;
-  const auto legacy = bench::run_fleet_seed(c.route, c.speed_kmh,
-                                            c.duration_s, c.seed, bler, opts);
-  opts.use_rem = true;
-  const auto rem = bench::run_fleet_seed(c.route, c.speed_kmh, c.duration_s,
-                                         c.seed, bler, opts);
+  const auto legacy = bench::run_fleet_scenario(
+      sc, c.seed, bench::Manager::kLegacy, bler);
+  const auto rem =
+      bench::run_fleet_scenario(sc, c.seed, bench::Manager::kRem, bler);
   return make_fleet_digest(c, legacy, rem);
 }
 

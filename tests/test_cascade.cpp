@@ -7,7 +7,7 @@
 // breaker timeline bit for bit, and storm runs merged in seed order are
 // bit-identical at 1, 2, and 8 worker threads.
 #include "core/circuit_breaker.hpp"
-#include "fleet_runner.hpp"
+#include "scenario_runner.hpp"
 
 #include "common/thread_pool.hpp"
 #include "testkit/golden.hpp"
@@ -23,8 +23,8 @@ namespace {
 
 namespace core = rem::core;
 namespace sim = rem::sim;
-using rem::bench::FleetRunOptions;
-using rem::bench::run_fleet_seed;
+using rem::bench::Manager;
+using rem::bench::run_fleet_scenario;
 
 // ---------- Breaker FSM unit level ----------
 
@@ -128,25 +128,27 @@ TEST(CircuitBreaker, CooldownDeadlineIsExactArithmetic) {
 
 // ---------- Simulator level ----------
 
-/// Cascade-storm fleet options mirroring the golden corpus's
+/// Cascade-storm fleet scenario mirroring the golden corpus's
 /// cascade_storm arming: crash + cascade faults, the full resilience
 /// stack on, and single-slot stations so admission busy-rejects reliably
 /// drive the breaker through its trip/probe/close cycle.
-FleetRunOptions storm_opts(double duration_s, int fleet_size) {
-  FleetRunOptions opts;
-  opts.fleet_size = fleet_size;
-  opts.record_events = true;
-  opts.faults = rem::testkit::golden_fault_preset("cascade_storm", duration_s);
-  opts.load_ad_staleness_s = 1.0;
-  opts.breaker_trip_k = 2;
-  opts.breaker_cooldown_s = 1.5;
-  opts.storm_jitter_frac = 0.5;
+rem::trace::Scenario storm_scenario(rem::trace::Route route, double speed_kmh,
+                                    double duration_s, int fleet_size) {
+  auto sc = rem::trace::make_scenario(route, speed_kmh, duration_s);
+  sc.sim.fleet_size = fleet_size;
+  sc.sim.record_events = true;
+  sc.sim.faults =
+      rem::testkit::golden_fault_preset("cascade_storm", duration_s);
+  sc.sim.load_ad_staleness_s = 1.0;
+  sc.sim.breaker_trip_k = 2;
+  sc.sim.breaker_cooldown_s = 1.5;
+  sc.sim.storm_jitter_frac = 0.5;
   sim::BsCapacityConfig cap;
   cap.slots = 1;
   cap.queue_capacity = 4;
   cap.admission_load_threshold = 0.5;
-  opts.bs_capacity = cap;
-  return opts;
+  sc.sim.bs_capacity = cap;
+  return sc;
 }
 
 int count_events(const sim::EventLog& events, sim::EventKind kind) {
@@ -160,9 +162,10 @@ TEST(CascadeSim, BreakerEventsAgreeWithCountersAndCooldown) {
   // 120 s: long enough for a tripped-but-alive cell to stay in candidate
   // range at 300 km/h, so breaker_skips accrues (at 60 s every tripped
   // target is a crashed cell, which candidate selection excludes anyway).
-  const auto opts = storm_opts(120.0, 6);
-  const auto r = run_fleet_seed(rem::trace::Route::kBeijingShanghai, 300.0,
-                                120.0, 18, rem::phy::LogisticBlerModel{}, opts);
+  const auto sc =
+      storm_scenario(rem::trace::Route::kBeijingShanghai, 300.0, 120.0, 6);
+  const auto r =
+      run_fleet_scenario(sc, 18, Manager::kRem, rem::phy::LogisticBlerModel{});
   const auto& agg = r.aggregate;
   ASSERT_GT(agg.breaker_trips, 0);
   ASSERT_GT(agg.breaker_probes, 0);
@@ -191,7 +194,7 @@ TEST(CascadeSim, BreakerEventsAgreeWithCountersAndCooldown) {
         last_trip = e.t_s;
     }
     ASSERT_GE(last_trip, 0.0) << "probe without a preceding trip";
-    EXPECT_GE(probe.t_s - last_trip, opts.breaker_cooldown_s - 1e-9);
+    EXPECT_GE(probe.t_s - last_trip, sc.sim.breaker_cooldown_s - 1e-9);
     ++checked;
   }
   EXPECT_EQ(checked, agg.breaker_probes);
@@ -202,22 +205,10 @@ TEST(CascadeSim, BreakerEventsAgreeWithCountersAndCooldown) {
   EXPECT_GT(agg.breaker_skips, 0);
 }
 
-/// Single-UE storm run built in fleet_runner.hpp's construction order,
-/// with the cascade resilience knobs applied (test_fleet.cpp's runner
-/// predates them).
-sim::SimStats run_single_storm(std::uint64_t seed, bool use_rem,
-                               const FleetRunOptions& opts,
-                               double duration_s) {
-  auto sc = rem::trace::make_scenario(rem::trace::Route::kBeijingShanghai,
-                                      300.0, duration_s);
-  sc.sim.faults = opts.faults;
-  sc.sim.record_events = true;
-  if (opts.bs_capacity) sc.sim.bs_capacity = *opts.bs_capacity;
-  sc.sim.load_ad_staleness_s = opts.load_ad_staleness_s;
-  sc.sim.breaker_trip_k = opts.breaker_trip_k;
-  sc.sim.breaker_cooldown_s = opts.breaker_cooldown_s;
-  sc.sim.storm_jitter_frac = opts.storm_jitter_frac;
-
+/// Single-UE storm run built by hand in scenario_runner.hpp's fleet
+/// construction order, with the cascade resilience knobs armed.
+sim::SimStats run_single_storm(const rem::trace::Scenario& sc,
+                               std::uint64_t seed, bool use_rem) {
   rem::common::Rng rng(seed);
   auto cells = sim::make_rail_deployment(sc.deployment, rng);
   auto holes = sim::make_hole_segments(sc.deployment, rng);
@@ -268,14 +259,14 @@ TEST(CascadeSim, FleetOfOneReproducesSingleUeStormRun) {
   // Breakers, load ads and storm jitter armed: UE 0 of a one-UE fleet
   // (checkers attached through the demux) must replay the bare single-UE
   // run exactly, breaker timeline and event log included.
-  auto opts = storm_opts(120.0, 1);
+  const auto sc =
+      storm_scenario(rem::trace::Route::kBeijingShanghai, 300.0, 120.0, 1);
   for (bool use_rem : {false, true}) {
     SCOPED_TRACE(use_rem ? "rem" : "legacy");
-    opts.use_rem = use_rem;
-    const auto single = run_single_storm(18, use_rem, opts, 120.0);
+    const auto single = run_single_storm(sc, 18, use_rem);
     const auto fleet =
-        run_fleet_seed(rem::trace::Route::kBeijingShanghai, 300.0, 120.0, 18,
-                       rem::phy::LogisticBlerModel{}, opts);
+        run_fleet_scenario(sc, 18, use_rem ? Manager::kRem : Manager::kLegacy,
+                           rem::phy::LogisticBlerModel{});
     ASSERT_EQ(fleet.per_ue.size(), 1u);
     expect_cascade_eq(fleet.per_ue[0], single);
     expect_cascade_eq(fleet.aggregate, single);
@@ -287,14 +278,14 @@ TEST(CascadeSim, FleetOfOneReproducesSingleUeStormRun) {
 }
 
 TEST(CascadeSim, StormRunsBitIdenticalAcrossOneTwoEightThreads) {
-  const auto opts = storm_opts(40.0, 4);
+  const auto sc =
+      storm_scenario(rem::trace::Route::kBeijingTaiyuan, 250.0, 40.0, 4);
   const std::vector<std::uint64_t> seeds = {61, 62, 63, 64, 65, 66};
   const auto batch = [&](std::size_t threads) {
     std::vector<sim::FleetResult> out(seeds.size());
     rem::phy::LogisticBlerModel bler;
     rem::common::parallel_for(seeds.size(), threads, [&](std::size_t i) {
-      out[i] = run_fleet_seed(rem::trace::Route::kBeijingTaiyuan, 250.0, 40.0,
-                              seeds[i], bler, opts);
+      out[i] = run_fleet_scenario(sc, seeds[i], Manager::kRem, bler);
     });
     return out;
   };

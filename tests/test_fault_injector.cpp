@@ -268,28 +268,26 @@ rs::FaultConfig mixed_fault_config(double horizon_s) {
 }  // namespace
 
 TEST(ChaosDeterminism, SameSeedSameFaultsBitIdenticalStats) {
-  const auto route = rem::trace::Route::kBeijingShanghai;
-  const auto faults = mixed_fault_config(150.0);
+  auto sc = rem::trace::make_scenario(rem::trace::Route::kBeijingShanghai,
+                                      300.0, 150.0);
+  sc.sim.faults = mixed_fault_config(150.0);
   rem::phy::LogisticBlerModel bler;
-  const auto a =
-      rem::bench::run_seed(route, 300.0, 150.0, 7, true, bler, faults);
-  const auto b =
-      rem::bench::run_seed(route, 300.0, 150.0, 7, true, bler, faults);
+  const auto a = rem::bench::run_seed(sc, 7, true, bler);
+  const auto b = rem::bench::run_seed(sc, 7, true, bler);
   expect_identical(a.legacy, b.legacy);
   expect_identical(a.rem, b.rem);
 }
 
 TEST(ChaosDeterminism, ParallelMatchesSerialAcrossThreadCounts) {
   const std::vector<std::uint64_t> seeds = {4, 1, 9};
-  const auto route = rem::trace::Route::kBeijingShanghai;
-  const auto faults = mixed_fault_config(120.0);
-  const auto serial =
-      rem::bench::run_route(route, 300.0, 120.0, seeds, true, faults);
+  auto sc = rem::trace::make_scenario(rem::trace::Route::kBeijingShanghai,
+                                      300.0, 120.0);
+  sc.sim.faults = mixed_fault_config(120.0);
+  const auto serial = rem::bench::run_route(sc, seeds);
   for (const std::size_t threads : {1UL, 2UL, 8UL}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    const auto par = rem::bench::run_route_parallel(route, 300.0, 120.0,
-                                                    seeds, true, threads,
-                                                    faults);
+    const auto par =
+        rem::bench::run_route_parallel(sc, seeds, true, threads);
     EXPECT_EQ(serial.legacy.handovers, par.legacy.handovers);
     EXPECT_EQ(serial.legacy.failures, par.legacy.failures);
     EXPECT_EQ(serial.legacy.by_cause, par.legacy.by_cause);
@@ -316,11 +314,16 @@ TEST(ChaosDeterminism, ParallelMatchesSerialAcrossThreadCounts) {
 
 namespace {
 
+/// Both managers over seed 1 of the 80 s Beijing-Shanghai run under
+/// `faults`, with the event log recorded when `record_events`.
 rem::bench::SeedRunResult run_with(const rs::FaultConfig& faults,
-                                   double duration_s = 80.0) {
+                                   bool record_events = false) {
+  auto sc = rem::trace::make_scenario(rem::trace::Route::kBeijingShanghai,
+                                      300.0, 80.0);
+  sc.sim.faults = faults;
+  sc.sim.record_events = record_events;
   rem::phy::LogisticBlerModel bler;
-  return rem::bench::run_seed(rem::trace::Route::kBeijingShanghai, 300.0,
-                              duration_s, 1, true, bler, faults);
+  return rem::bench::run_seed(sc, 1, true, bler);
 }
 
 }  // namespace
@@ -361,25 +364,14 @@ TEST(ChaosEffects, DuplicationProducesDuplicateCommands) {
 }
 
 TEST(ChaosEffects, FaultAndDegradedTransitionsAppearInEventLog) {
-  // Mirror run_seed but with event recording on: the log must show the
-  // pilot-outage window opening/closing and REM entering/leaving degraded
-  // mode inside it.
-  auto sc = rem::trace::make_scenario(rem::trace::Route::kBeijingShanghai,
-                                      300.0, 80.0);
+  // With event recording on, REM's log must show the pilot-outage window
+  // opening/closing and REM entering/leaving degraded mode inside it.
   // Windows at 15 s and 45 s, both closing well before the 80 s run ends
   // so every fault_start has a matching fault_end in the log.
-  sc.sim.faults =
-      periodic(rs::FaultKind::kPilotOutage, 15.0, 30.0, 8.0, 4.0, 60.0);
-  sc.sim.record_events = true;
-  rem::common::Rng rng(1);
-  auto cells = rs::make_rail_deployment(sc.deployment, rng);
-  auto holes = rs::make_hole_segments(sc.deployment, rng);
-  rs::RadioEnv env(cells, sc.propagation, rng.fork(), holes);
-
-  rem::core::RemManager remm(rem::core::RemConfig{}, rng.fork());
-  rem::phy::LogisticBlerModel bler;
-  rs::Simulator sim(env, sc.sim, bler, rng.fork());
-  const auto stats = sim.run(remm);
+  const auto r = run_with(
+      periodic(rs::FaultKind::kPilotOutage, 15.0, 30.0, 8.0, 4.0, 60.0),
+      /*record_events=*/true);
+  const auto& stats = r.rem;
 
   int fault_starts = 0, fault_ends = 0, enters = 0, exits = 0;
   for (const auto& e : stats.events) {

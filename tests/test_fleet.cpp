@@ -11,7 +11,7 @@
 //  - per-UE stats fold into the fleet aggregate under the documented
 //    rules, and fleet_invariant_report stays clean on real runs;
 //  - a 100-UE fleet completes under one InvariantChecker per UE.
-#include "fleet_runner.hpp"
+#include "scenario_runner.hpp"
 
 #include "common/thread_pool.hpp"
 #include "testkit/golden.hpp"
@@ -28,8 +28,8 @@
 
 namespace {
 
-using rem::bench::FleetRunOptions;
-using rem::bench::run_fleet_seed;
+using rem::bench::Manager;
+using rem::bench::run_fleet_scenario;
 
 /// Exact equality over every SimStats field; the event log compares via
 /// size + the golden corpus's bit-exact FNV hash.
@@ -96,21 +96,14 @@ void expect_stats_eq(const rem::sim::SimStats& a, const rem::sim::SimStats& b,
             rem::testkit::hash_event_log(b.events));
 }
 
-/// Single-UE run built with fleet_runner.hpp's documented construction
-/// order (manager master stream forked before the simulation stream), so
-/// its output is the reference a fleet of one must reproduce bit-for-bit.
-rem::sim::SimStats run_single(rem::trace::Route route, double speed_kmh,
-                              double duration_s, std::uint64_t seed,
-                              bool use_rem, const FleetRunOptions& opts) {
+/// Single-UE run built by hand in scenario_runner.hpp's documented fleet
+/// construction order (manager master stream forked before the simulation
+/// stream), so its output is the reference a fleet of one must reproduce
+/// bit-for-bit.
+rem::sim::SimStats run_single(const rem::trace::Scenario& sc,
+                              std::uint64_t seed, bool use_rem) {
   namespace sim = rem::sim;
   namespace core = rem::core;
-  auto sc = rem::trace::make_scenario(route, speed_kmh, duration_s);
-  sc.sim.faults = opts.faults;
-  sc.sim.record_events = sc.sim.record_events || opts.record_events;
-  if (opts.backhaul) sc.sim.backhaul = *opts.backhaul;
-  if (opts.bs_capacity) sc.sim.bs_capacity = *opts.bs_capacity;
-  if (opts.fleet) sc.sim.fleet = *opts.fleet;
-
   rem::common::Rng rng(seed);
   auto cells = sim::make_rail_deployment(sc.deployment, rng);
   auto holes = sim::make_hole_segments(sc.deployment, rng);
@@ -133,19 +126,17 @@ rem::sim::SimStats run_single(rem::trace::Route route, double speed_kmh,
 }
 
 TEST(Fleet, FleetOfOneReproducesSingleUeRunExactly) {
-  FleetRunOptions opts;
-  opts.fleet_size = 1;
-  opts.record_events = true;
-  opts.faults = rem::testkit::golden_fault_preset("mixed", 60.0);
+  auto sc = rem::trace::make_scenario(rem::trace::Route::kBeijingTaiyuan,
+                                      250.0, 60.0);
+  sc.sim.fleet_size = 1;
+  sc.sim.record_events = true;
+  sc.sim.faults = rem::testkit::golden_fault_preset("mixed", 60.0);
   for (bool use_rem : {false, true}) {
     SCOPED_TRACE(use_rem ? "rem" : "legacy");
-    opts.use_rem = use_rem;
-    const auto single =
-        run_single(rem::trace::Route::kBeijingTaiyuan, 250.0, 60.0, 21,
-                   use_rem, opts);
-    const auto fleet = run_fleet_seed(rem::trace::Route::kBeijingTaiyuan,
-                                      250.0, 60.0, 21,
-                                      rem::phy::LogisticBlerModel{}, opts);
+    const auto single = run_single(sc, 21, use_rem);
+    const auto fleet =
+        run_fleet_scenario(sc, 21, use_rem ? Manager::kRem : Manager::kLegacy,
+                           rem::phy::LogisticBlerModel{});
     ASSERT_EQ(fleet.per_ue.size(), 1u);
     // The bare single run carries no checker, so skip the violation
     // counter (the fleet's checkers wrote 0 anyway).
@@ -221,33 +212,34 @@ TEST(Fleet, BothEntryPointsRejectBadClock) {
             1u);
 }
 
-/// Run one fleet per seed on `threads` workers; results come back in seed
-/// order whatever the interleaving.
+/// Run one REM fleet per seed on `threads` workers; results come back in
+/// seed order whatever the interleaving.
 std::vector<rem::sim::FleetResult> run_fleet_batch(
     const std::vector<std::uint64_t>& seeds, std::size_t threads,
-    const FleetRunOptions& opts) {
+    const rem::trace::Scenario& sc) {
   std::vector<rem::sim::FleetResult> out(seeds.size());
   rem::phy::LogisticBlerModel bler;
   rem::common::parallel_for(seeds.size(), threads, [&](std::size_t i) {
-    out[i] = run_fleet_seed(rem::trace::Route::kBeijingTaiyuan, 250.0, 30.0,
-                            seeds[i], bler, opts);
+    out[i] = run_fleet_scenario(sc, seeds[i], Manager::kRem, bler);
   });
   return out;
 }
 
 TEST(Fleet, BatchBitIdenticalAcrossOneTwoEightThreads) {
-  FleetRunOptions opts;
-  opts.fleet_size = 6;
-  opts.record_events = true;
-  opts.faults = rem::testkit::golden_fault_preset("bs_overload_shed", 30.0);
+  auto sc = rem::trace::make_scenario(rem::trace::Route::kBeijingTaiyuan,
+                                      250.0, 30.0);
+  sc.sim.fleet_size = 6;
+  sc.sim.record_events = true;
+  sc.sim.faults = rem::testkit::golden_fault_preset("bs_overload_shed", 30.0);
   const std::vector<std::uint64_t> seeds = {31, 32, 33, 34, 35, 36};
-  const auto at1 = run_fleet_batch(seeds, 1, opts);
-  const auto at2 = run_fleet_batch(seeds, 2, opts);
-  const auto at8 = run_fleet_batch(seeds, 8, opts);
+  const auto at1 = run_fleet_batch(seeds, 1, sc);
+  const auto at2 = run_fleet_batch(seeds, 2, sc);
+  const auto at8 = run_fleet_batch(seeds, 8, sc);
   ASSERT_EQ(at1.size(), seeds.size());
   for (std::size_t i = 0; i < seeds.size(); ++i) {
     SCOPED_TRACE("seed " + std::to_string(seeds[i]));
-    ASSERT_EQ(at1[i].per_ue.size(), static_cast<std::size_t>(opts.fleet_size));
+    ASSERT_EQ(at1[i].per_ue.size(),
+              static_cast<std::size_t>(sc.sim.fleet_size));
     ASSERT_EQ(at2[i].per_ue.size(), at1[i].per_ue.size());
     ASSERT_EQ(at8[i].per_ue.size(), at1[i].per_ue.size());
     for (std::size_t k = 0; k < at1[i].per_ue.size(); ++k) {
@@ -261,12 +253,13 @@ TEST(Fleet, BatchBitIdenticalAcrossOneTwoEightThreads) {
 }
 
 TEST(Fleet, PerUeStatsFoldIntoAggregate) {
-  FleetRunOptions opts;
-  opts.fleet_size = 8;
-  opts.record_events = true;
-  opts.faults = rem::testkit::golden_fault_preset("backhaul_partition", 40.0);
-  const auto r = run_fleet_seed(rem::trace::Route::kBeijingShanghai, 300.0,
-                                40.0, 41, rem::phy::LogisticBlerModel{}, opts);
+  auto sc = rem::trace::make_scenario(rem::trace::Route::kBeijingShanghai,
+                                      300.0, 40.0);
+  sc.sim.fleet_size = 8;
+  sc.sim.record_events = true;
+  sc.sim.faults = rem::testkit::golden_fault_preset("backhaul_partition", 40.0);
+  const auto r = run_fleet_scenario(sc, 41, Manager::kRem,
+                                    rem::phy::LogisticBlerModel{});
   ASSERT_EQ(r.per_ue.size(), 8u);
   // Mixed per-UE parameters actually took effect: UEs do not all ride the
   // same trajectory, so their tick-by-tick event streams differ.
@@ -302,12 +295,13 @@ TEST(Fleet, PerUeStatsFoldIntoAggregate) {
 // under one InvariantChecker per UE, and repeating the run (serially or on
 // a pool) reproduces it bit-for-bit.
 TEST(Fleet, HundredUeFleetCompletesUnderChecker) {
-  FleetRunOptions opts;
-  opts.fleet_size = 100;
-  opts.faults = rem::testkit::golden_fault_preset("mixed", 12.0);
+  auto sc = rem::trace::make_scenario(rem::trace::Route::kBeijingShanghai,
+                                      300.0, 12.0);
+  sc.sim.fleet_size = 100;
+  sc.sim.faults = rem::testkit::golden_fault_preset("mixed", 12.0);
   const auto run_once = [&] {
-    return run_fleet_seed(rem::trace::Route::kBeijingShanghai, 300.0, 12.0,
-                          51, rem::phy::LogisticBlerModel{}, opts);
+    return run_fleet_scenario(sc, 51, Manager::kRem,
+                              rem::phy::LogisticBlerModel{});
   };
   const auto a = run_once();
   ASSERT_EQ(a.per_ue.size(), 100u);

@@ -281,8 +281,9 @@ TEST(InvariantCheckerEndToEnd, FaultFreeRunsAreViolationFree) {
     const double speed =
         route == rem::trace::Route::kLowMobilityLA ? 60.0 : 330.0;
     // run_seed throws std::logic_error on any violation.
-    const auto r = rem::bench::run_seed(route, speed, 60.0, 42,
-                                        /*run_rem=*/true, bler);
+    const auto r = rem::bench::run_seed(
+        rem::trace::make_scenario(route, speed, 60.0), 42, /*run_rem=*/true,
+        bler);
     EXPECT_EQ(r.legacy.invariant_violations, 0);
     EXPECT_EQ(r.rem.invariant_violations, 0);
   }
@@ -290,25 +291,22 @@ TEST(InvariantCheckerEndToEnd, FaultFreeRunsAreViolationFree) {
 
 TEST(InvariantCheckerEndToEnd, MixedFaultRunsAreViolationFree) {
   rem::phy::LogisticBlerModel bler;
-  rem::bench::SeedRunOptions opts;
-  opts.faults = rem::testkit::golden_fault_preset("mixed", 60.0);
-  const auto r =
-      rem::bench::run_seed(rem::trace::Route::kBeijingTaiyuan, 250.0, 60.0,
-                           7, /*run_rem=*/true, bler, opts);
+  auto sc = rem::trace::make_scenario(rem::trace::Route::kBeijingTaiyuan,
+                                      250.0, 60.0);
+  sc.sim.faults = rem::testkit::golden_fault_preset("mixed", 60.0);
+  const auto r = rem::bench::run_seed(sc, 7, /*run_rem=*/true, bler);
   EXPECT_EQ(r.legacy.invariant_violations, 0);
   EXPECT_EQ(r.rem.invariant_violations, 0);
 }
 
 TEST(InvariantCheckerEndToEnd, CheckerDoesNotChangeResults) {
   rem::phy::LogisticBlerModel bler;
-  rem::bench::SeedRunOptions checked;
-  rem::bench::SeedRunOptions unchecked;
+  rem::bench::RunOptions unchecked;
   unchecked.check_invariants = false;
-  const auto route = rem::trace::Route::kBeijingShanghai;
-  const auto a = rem::bench::run_seed(route, 300.0, 60.0, 5, true, bler,
-                                      checked);
-  const auto b = rem::bench::run_seed(route, 300.0, 60.0, 5, true, bler,
-                                      unchecked);
+  const auto sc = rem::trace::make_scenario(
+      rem::trace::Route::kBeijingShanghai, 300.0, 60.0);
+  const auto a = rem::bench::run_seed(sc, 5, true, bler);
+  const auto b = rem::bench::run_seed(sc, 5, true, bler, unchecked);
   // Bit-identity on purpose: the observer draws no randomness.
   EXPECT_EQ(a.legacy.handovers, b.legacy.handovers);
   EXPECT_EQ(a.legacy.failures, b.legacy.failures);

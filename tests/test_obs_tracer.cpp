@@ -21,15 +21,21 @@
 
 namespace {
 
-using rem::bench::SeedRunOptions;
+using rem::bench::RunOptions;
 
 constexpr double kDuration = 120.0;
 constexpr double kSpeed = 300.0;
 const auto kRoute = rem::trace::Route::kBeijingShanghai;
 
-SeedRunOptions chaos_opts() {
-  SeedRunOptions opts;
-  opts.faults = rem::testkit::golden_fault_preset("mixed", kDuration);
+/// The chaos-mode scenario ("mixed" golden fault preset).
+rem::trace::Scenario chaos_scenario() {
+  auto sc = rem::trace::make_scenario(kRoute, kSpeed, kDuration);
+  sc.sim.faults = rem::testkit::golden_fault_preset("mixed", kDuration);
+  return sc;
+}
+
+RunOptions metrics_on() {
+  RunOptions opts;
   opts.collect_metrics = true;
   return opts;
 }
@@ -220,10 +226,10 @@ TEST(SpanTracer, MetricsJsonRoundTripsThroughFile) {
 // metrics must be byte-identical for 1, 2, and 8 worker threads.
 TEST(ScenarioRunnerMetrics, ThreadCountInvariantSnapshots) {
   const std::vector<std::uint64_t> seeds = {1, 2, 3, 4};
-  const auto opts = chaos_opts();
+  const auto sc = chaos_scenario();
   const auto render = [&](std::size_t threads) {
-    const auto run = rem::bench::run_route_parallel(
-        kRoute, kSpeed, kDuration, seeds, true, threads, opts);
+    const auto run = rem::bench::run_route_parallel(sc, seeds, true, threads,
+                                                    metrics_on());
     std::ostringstream legacy_os, rem_os;
     rem::obs::write_metrics_json(run.legacy_metrics, legacy_os);
     rem::obs::write_metrics_json(run.rem_metrics, rem_os);
@@ -239,12 +245,11 @@ TEST(ScenarioRunnerMetrics, ThreadCountInvariantSnapshots) {
 // with metrics on equal those with metrics off.
 TEST(ScenarioRunnerMetrics, CollectionDoesNotPerturbStats) {
   const std::vector<std::uint64_t> seeds = {7};
-  auto opts = chaos_opts();
-  const auto with = rem::bench::run_route(kRoute, kSpeed, kDuration, seeds,
-                                          true, opts);
+  const auto sc = chaos_scenario();
+  auto opts = metrics_on();
+  const auto with = rem::bench::run_route(sc, seeds, true, opts);
   opts.collect_metrics = false;
-  const auto without = rem::bench::run_route(kRoute, kSpeed, kDuration,
-                                             seeds, true, opts);
+  const auto without = rem::bench::run_route(sc, seeds, true, opts);
   EXPECT_EQ(with.legacy.handovers, without.legacy.handovers);
   EXPECT_EQ(with.legacy.failures, without.legacy.failures);
   EXPECT_EQ(with.rem.handovers, without.rem.handovers);
@@ -270,7 +275,7 @@ TEST(SpanTracer, RejectsInterleavedUes) {
 TEST(SpanTracer, FleetDemuxedTracersReconcilePerUe) {
   // One tracer per UE behind the demux: each must reconcile against its
   // own UE's SimStats exactly, and every emitted trace line must carry
-  // that UE's id. Construction order matches bench/fleet_runner.hpp.
+  // that UE's id. Construction order matches bench/scenario_runner.hpp.
   constexpr int kFleet = 3;
   constexpr double kDur = 40.0;
   auto sc = rem::trace::make_scenario(kRoute, kSpeed, kDur);

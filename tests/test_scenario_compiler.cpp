@@ -9,7 +9,7 @@
 
 #include "common/thread_pool.hpp"
 #include "common/units.hpp"
-#include "fleet_runner.hpp"
+#include "scenario_runner.hpp"
 #include "testkit/golden.hpp"
 
 #include <gtest/gtest.h>
@@ -376,15 +376,16 @@ TEST(ScenarioCompile, CompiledFleetRunBitIdenticalAcrossOneTwoEightThreads) {
   const auto compiled = scn::compile(spec);
 
   rem::phy::LogisticBlerModel bler;
-  rem::bench::FleetScenarioRunOptions opts;
-  opts.record_events = true;
+  auto sc = compiled.scenario;
+  sc.sim.record_events = true;
+  rem::bench::RunOptions opts;
   opts.context = "the determinism probe";
   const std::vector<std::uint64_t> seeds = {61, 62, 63, 64};
   const auto batch = [&](std::size_t threads) {
     std::vector<rem::sim::FleetResult> out(seeds.size());
     rem::common::parallel_for(seeds.size(), threads, [&](std::size_t i) {
-      out[i] = rem::bench::run_fleet_scenario(compiled.scenario, seeds[i],
-                                              bler, opts);
+      out[i] = rem::bench::run_fleet_scenario(
+          sc, seeds[i], rem::bench::Manager::kRem, bler, opts);
     });
     return out;
   };

@@ -1,7 +1,8 @@
 // The seed-parallel scenario runner must produce output bit-identical to
 // the serial runner for the same seed list, independent of thread count:
 // every floating-point accumulation happens in merge_seed_results() in seed
-// order, never in completion order.
+// order, never in completion order. Also pins what the one checker-config
+// builder hands each manager family.
 #include "scenario_runner.hpp"
 
 #include <gtest/gtest.h>
@@ -43,26 +44,25 @@ void expect_identical(const ScenarioRun& a, const ScenarioRun& b) {
 
 TEST(ScenarioRunner, ParallelIsBitIdenticalAcrossThreadCounts) {
   const std::vector<std::uint64_t> seeds = {3, 1, 7, 2};
-  const auto route = rem::trace::Route::kBeijingShanghai;
-  const double speed = 300.0, duration = 200.0;
+  const auto sc = rem::trace::make_scenario(
+      rem::trace::Route::kBeijingShanghai, 300.0, 200.0);
 
-  const auto serial =
-      rem::bench::run_route(route, speed, duration, seeds);
+  const auto serial = rem::bench::run_route(sc, seeds);
   for (const std::size_t threads : {1UL, 2UL, 8UL}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    const auto par = rem::bench::run_route_parallel(route, speed, duration,
-                                                    seeds, true, threads);
+    const auto par =
+        rem::bench::run_route_parallel(sc, seeds, true, threads);
     expect_identical(serial, par);
   }
 }
 
 TEST(ScenarioRunner, LegacyOnlyParallelMatchesSerial) {
   const std::vector<std::uint64_t> seeds = {11, 12, 13};
-  const auto route = rem::trace::Route::kBeijingTaiyuan;
-  const auto serial = rem::bench::run_route(route, 250.0, 150.0, seeds,
-                                            /*run_rem=*/false);
-  const auto par = rem::bench::run_route_parallel(route, 250.0, 150.0, seeds,
-                                                  /*run_rem=*/false, 3);
+  const auto sc = rem::trace::make_scenario(
+      rem::trace::Route::kBeijingTaiyuan, 250.0, 150.0);
+  const auto serial = rem::bench::run_route(sc, seeds, /*run_rem=*/false);
+  const auto par =
+      rem::bench::run_route_parallel(sc, seeds, /*run_rem=*/false, 3);
   expect_identical(serial, par);
   EXPECT_EQ(par.rem.handovers, 0);
   EXPECT_TRUE(par.rem.throughput_bps.samples().empty());
@@ -71,11 +71,10 @@ TEST(ScenarioRunner, LegacyOnlyParallelMatchesSerial) {
 TEST(ScenarioRunner, MergeOrderFollowsSeedListNotCompletion) {
   // Two permutations of the same seed list must yield the same totals but
   // merge per-seed samples in their respective list orders.
-  const auto route = rem::trace::Route::kBeijingShanghai;
-  const auto ab = rem::bench::run_route_parallel(route, 300.0, 150.0, {5, 9},
-                                                 true, 2);
-  const auto ba = rem::bench::run_route_parallel(route, 300.0, 150.0, {9, 5},
-                                                 true, 2);
+  const auto sc = rem::trace::make_scenario(
+      rem::trace::Route::kBeijingShanghai, 300.0, 150.0);
+  const auto ab = rem::bench::run_route_parallel(sc, {5, 9}, true, 2);
+  const auto ba = rem::bench::run_route_parallel(sc, {9, 5}, true, 2);
   EXPECT_EQ(ab.legacy.handovers, ba.legacy.handovers);
   EXPECT_EQ(ab.legacy.failures, ba.legacy.failures);
   ASSERT_EQ(ab.legacy.throughput_bps.samples().size(),
@@ -85,5 +84,32 @@ TEST(ScenarioRunner, MergeOrderFollowsSeedListNotCompletion) {
               ba.legacy.throughput_bps.samples()[1]);
     EXPECT_EQ(ab.legacy.throughput_bps.samples()[1],
               ba.legacy.throughput_bps.samples()[0]);
+  }
+}
+
+TEST(ScenarioRunner, CheckerConfigFollowsManagerFamilyAndFaults) {
+  using rem::bench::Manager;
+  auto sim = rem::trace::make_scenario(rem::trace::Route::kBeijingShanghai,
+                                       300.0, 80.0)
+                 .sim;
+  for (const bool faulted : {false, true}) {
+    SCOPED_TRACE(faulted ? "faults" : "no faults");
+    if (faulted)
+      sim.faults.windows.push_back(
+          {rem::sim::FaultKind::kPilotOutage, 15.0, 8.0, 4.0});
+    const auto rem = rem::bench::checker_config(sim, 42, Manager::kRem);
+    const auto legacy = rem::bench::checker_config(sim, 42, Manager::kLegacy);
+    // REM's degraded entries are checked against its staleness bound.
+    EXPECT_EQ(rem.staleness_bound_s,
+              rem::core::RemConfig{}.estimate_staleness_s);
+    EXPECT_GE(rem.staleness_bound_s, 0.0);
+    EXPECT_FALSE(rem.expect_no_degraded);
+    // Legacy has no fallback mode: any degraded transition is a violation.
+    EXPECT_TRUE(legacy.expect_no_degraded);
+    for (const auto* c : {&rem, &legacy}) {
+      EXPECT_EQ(c->faults_expected, !sim.faults.empty());
+      EXPECT_EQ(c->faults_expected, faulted);
+      EXPECT_EQ(c->num_cells, 42u);
+    }
   }
 }

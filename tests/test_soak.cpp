@@ -6,7 +6,6 @@
 // sanitizers (scripts/check_soak.sh runs this binary in the ASan/UBSan
 // and TSan build trees), with the checker turning any protocol-state or
 // accounting violation into a test failure.
-#include "fleet_runner.hpp"
 #include "scenario_runner.hpp"
 #include "sim/fault_injector.hpp"
 
@@ -45,13 +44,19 @@ rs::FaultConfig random_everything() {
   return cfg;
 }
 
-/// Arm the cascade-resilience stack (load ads, breakers, storm jitter) on
-/// a fleet soak so those code paths run under the sanitizers too.
-void arm_resilience(rem::bench::FleetRunOptions& opts) {
-  opts.load_ad_staleness_s = 1.0;
-  opts.breaker_trip_k = 2;
-  opts.breaker_cooldown_s = 1.5;
-  opts.storm_jitter_frac = 0.5;
+/// A fleet soak scenario: every fault kind from random schedules, with the
+/// cascade-resilience stack (load ads, breakers, storm jitter) armed so
+/// those code paths run under the sanitizers too.
+rem::trace::Scenario fleet_soak(rem::trace::Route route, double speed_kmh,
+                                double duration_s, int fleet_size) {
+  auto sc = rem::trace::make_scenario(route, speed_kmh, duration_s);
+  sc.sim.fleet_size = fleet_size;
+  sc.sim.faults = random_everything();
+  sc.sim.load_ad_staleness_s = 1.0;
+  sc.sim.breaker_trip_k = 2;
+  sc.sim.breaker_cooldown_s = 1.5;
+  sc.sim.storm_jitter_frac = 0.5;
+  return sc;
 }
 
 }  // namespace
@@ -62,13 +67,12 @@ TEST(ChaosSoak, RandomizedAllFaultScheduleHoldsInvariants) {
   // on any invariant violation, and the sanitizer builds catch memory
   // and data-race bugs the checker cannot see.
   rem::phy::LogisticBlerModel bler;
-  rem::bench::SeedRunOptions opts;
-  opts.faults = random_everything();
+  auto sc = rem::trace::make_scenario(rem::trace::Route::kBeijingShanghai,
+                                      300.0, 50.0);
+  sc.sim.faults = random_everything();
   for (const std::uint64_t seed : {11ULL, 22ULL, 33ULL}) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
-    const auto r =
-        rem::bench::run_seed(rem::trace::Route::kBeijingShanghai, 300.0,
-                             50.0, seed, true, bler, opts);
+    const auto r = rem::bench::run_seed(sc, seed, true, bler);
     // Minimal liveness: the runs simulated the full horizon and the BS
     // capacity model actually saw traffic under the fault mix.
     EXPECT_EQ(r.legacy.sim_time_s, 50.0);
@@ -81,12 +85,11 @@ TEST(ChaosSoak, RandomizedScheduleReplaysBitIdentically) {
   // Same seed, same spec: the randomized soak is still deterministic, so
   // a sanitizer hit here is reproducible by rerunning the same test.
   rem::phy::LogisticBlerModel bler;
-  rem::bench::SeedRunOptions opts;
-  opts.faults = random_everything();
-  const auto a = rem::bench::run_seed(rem::trace::Route::kBeijingTaiyuan,
-                                      250.0, 45.0, 5, true, bler, opts);
-  const auto b = rem::bench::run_seed(rem::trace::Route::kBeijingTaiyuan,
-                                      250.0, 45.0, 5, true, bler, opts);
+  auto sc = rem::trace::make_scenario(rem::trace::Route::kBeijingTaiyuan,
+                                      250.0, 45.0);
+  sc.sim.faults = random_everything();
+  const auto a = rem::bench::run_seed(sc, 5, true, bler);
+  const auto b = rem::bench::run_seed(sc, 5, true, bler);
   EXPECT_EQ(a.legacy.handovers, b.legacy.handovers);
   EXPECT_EQ(a.legacy.failures, b.legacy.failures);
   EXPECT_EQ(a.legacy.bs_queue_shed, b.legacy.bs_queue_shed);
@@ -101,21 +104,18 @@ TEST(ChaosSoak, RandomizedAllFaultFleetHoldsInvariants) {
   // The fleet engine under the same everything-at-once chaos: N UEs
   // contending for BS slots and backhaul capacity while every fault kind
   // fires from seeded random schedules. One InvariantChecker per UE plus
-  // the fleet-level report (run_fleet_seed throws on either), under the
-  // sanitizer builds via scripts/check_soak.sh.
+  // the fleet-level report (run_fleet_scenario throws on either), under
+  // the sanitizer builds via scripts/check_soak.sh.
   rem::phy::LogisticBlerModel bler;
-  rem::bench::FleetRunOptions opts;
-  opts.fleet_size = 8;
-  opts.faults = random_everything();
-  arm_resilience(opts);
+  const auto sc =
+      fleet_soak(rem::trace::Route::kBeijingShanghai, 300.0, 40.0, 8);
   for (const std::uint64_t seed : {44ULL, 55ULL}) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
-    for (bool use_rem : {false, true}) {
-      SCOPED_TRACE(use_rem ? "rem" : "legacy");
-      opts.use_rem = use_rem;
+    for (const auto family :
+         {rem::bench::Manager::kLegacy, rem::bench::Manager::kRem}) {
+      SCOPED_TRACE(rem::bench::manager_name(family));
       const auto r =
-          rem::bench::run_fleet_seed(rem::trace::Route::kBeijingShanghai,
-                                     300.0, 40.0, seed, bler, opts);
+          rem::bench::run_fleet_scenario(sc, seed, family, bler);
       ASSERT_EQ(r.per_ue.size(), 8u);
       for (const auto& s : r.per_ue) EXPECT_EQ(s.sim_time_s, 40.0);
       EXPECT_GT(r.aggregate.bs_jobs_submitted, 0);
@@ -125,14 +125,12 @@ TEST(ChaosSoak, RandomizedAllFaultFleetHoldsInvariants) {
 
 TEST(ChaosSoak, RandomizedFleetReplaysBitIdentically) {
   rem::phy::LogisticBlerModel bler;
-  rem::bench::FleetRunOptions opts;
-  opts.fleet_size = 6;
-  opts.faults = random_everything();
-  arm_resilience(opts);
-  const auto a = rem::bench::run_fleet_seed(
-      rem::trace::Route::kBeijingTaiyuan, 250.0, 30.0, 7, bler, opts);
-  const auto b = rem::bench::run_fleet_seed(
-      rem::trace::Route::kBeijingTaiyuan, 250.0, 30.0, 7, bler, opts);
+  const auto sc =
+      fleet_soak(rem::trace::Route::kBeijingTaiyuan, 250.0, 30.0, 6);
+  const auto a =
+      rem::bench::run_fleet_scenario(sc, 7, rem::bench::Manager::kRem, bler);
+  const auto b =
+      rem::bench::run_fleet_scenario(sc, 7, rem::bench::Manager::kRem, bler);
   ASSERT_EQ(a.per_ue.size(), b.per_ue.size());
   for (std::size_t k = 0; k < a.per_ue.size(); ++k) {
     SCOPED_TRACE("ue " + std::to_string(k));

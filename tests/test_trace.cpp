@@ -126,11 +126,11 @@ TEST(EventLog, CsvRoundTripCoversFaultAndRecoveryKinds) {
     EXPECT_EQ(back[i].target_cell, log[i].target_cell);
   }
   const auto s = rt::summarize_event_log(log);
-  EXPECT_EQ(s.fault_windows, 1u);
-  EXPECT_EQ(s.report_retransmits, 1u);
-  EXPECT_EQ(s.duplicate_commands, 1u);
-  EXPECT_EQ(s.t304_expiries, 1u);
-  EXPECT_EQ(s.degraded_episodes, 1u);
+  EXPECT_EQ(s.count(rs::EventKind::kFaultStart), 1u);
+  EXPECT_EQ(s.count(rs::EventKind::kReportRetransmit), 1u);
+  EXPECT_EQ(s.count(rs::EventKind::kHoCommandDuplicate), 1u);
+  EXPECT_EQ(s.count(rs::EventKind::kT304Expiry), 1u);
+  EXPECT_EQ(s.count(rs::EventKind::kDegradedEnter), 1u);
 }
 
 TEST(EventLog, RejectsMalformedInput) {
@@ -256,10 +256,10 @@ TEST(EventLog, FuzzedInputNeverCrashesAndAlwaysNamesContext) {
 
 TEST(EventLog, Summary) {
   const auto s = rt::summarize_event_log(sample_log());
-  EXPECT_EQ(s.handovers, 2u);
-  EXPECT_EQ(s.failures, 1u);
-  EXPECT_EQ(s.report_losses, 1u);
-  EXPECT_EQ(s.command_losses, 0u);
+  EXPECT_EQ(s.count(rs::EventKind::kHandoverComplete), 2u);
+  EXPECT_EQ(s.count(rs::EventKind::kRadioLinkFailure), 1u);
+  EXPECT_EQ(s.count(rs::EventKind::kReportLost), 1u);
+  EXPECT_EQ(s.count(rs::EventKind::kHoCommandLost), 0u);
   EXPECT_NEAR(s.mean_handover_interval_s, 20.0 - 2.05, 1e-9);
 }
 
@@ -281,9 +281,10 @@ TEST(EventLog, SimulatorRecordsConsistentLog) {
 
   ASSERT_FALSE(stats.events.empty());
   const auto summary = rt::summarize_event_log(stats.events);
-  EXPECT_EQ(static_cast<int>(summary.handovers),
+  EXPECT_EQ(static_cast<int>(summary.count(rs::EventKind::kHandoverComplete)),
             stats.successful_handovers);
-  EXPECT_EQ(static_cast<int>(summary.failures), stats.failures);
+  EXPECT_EQ(static_cast<int>(summary.count(rs::EventKind::kRadioLinkFailure)),
+            stats.failures);
   // Timestamps are non-decreasing.
   for (std::size_t i = 1; i < stats.events.size(); ++i)
     EXPECT_GE(stats.events[i].t_s, stats.events[i - 1].t_s);
