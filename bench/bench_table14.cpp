@@ -4,12 +4,12 @@
 // event engine against each criterion. Table 4 characterizes the datasets;
 // here the synthetic equivalents are generated and summarized the same way
 // (cells/sites, signaling message counts, feedback counts, handovers),
-// using the simulator's recorded event logs.
-#include "core/legacy_manager.hpp"
+// using the simulator's recorded event logs. Each route's world comes from
+// the runner's build_world (policies and the route's TTTs) and its legacy
+// run is machine-checked by run_checked.
 #include "mobility/events.hpp"
-#include "phy/bler_model.hpp"
+#include "scenario_runner.hpp"
 #include "trace/eventlog.hpp"
-#include "trace/scenario.hpp"
 
 #include <cstdio>
 
@@ -49,26 +49,24 @@ void table1() {
 void table4_route(const char* label, trace::Route route, double speed,
                   std::uint64_t seed) {
   const auto sc = trace::make_scenario(route, speed, 1500.0);
-  common::Rng rng(seed);
-  auto cells = sim::make_rail_deployment(sc.deployment, rng);
-  auto holes = sim::make_hole_segments(sc.deployment, rng);
-  sim::RadioEnv env(cells, sc.propagation, rng.fork(), holes);
-  auto policies = trace::synthesize_policies(cells, sc.policy_mix, rng);
+  bench::World w = bench::build_world(sc, seed);
+  const auto& cells = w.env.cells();
 
   int sites = 0;
   for (const auto& c : cells)
     sites = std::max(sites, c.id.base_station + 1);
   std::size_t policy_rules = 0;
-  for (const auto& [id, p] : policies) policy_rules += p.rules.size();
+  for (const auto& [id, p] : w.legacy.policies) policy_rules += p.rules.size();
 
   phy::LogisticBlerModel bler;
-  core::LegacyConfig lc;
-  lc.policies = policies;
-  core::LegacyManager mgr(lc);
+  core::LegacyManager mgr(w.legacy);
   auto sim_cfg = sc.sim;
   sim_cfg.record_events = true;
-  sim::Simulator s(env, sim_cfg, bler, rng.fork());
-  const auto stats = s.run(mgr);
+  bench::RunOptions opts;
+  opts.context = std::string("Table 4 ") + label;
+  const auto stats = bench::run_checked(
+      w, sim_cfg, bench::Manager::kLegacy, w.rng.fork(), bler, opts,
+      [&](sim::Simulator& s) { return s.run(mgr); });
   const auto summary = trace::summarize_event_log(stats.events);
 
   std::printf("\n  %-22s %s at %.0f km/h\n", label, "synthetic", speed);

@@ -1,7 +1,7 @@
 // The one bench runner: build a scenario's seeded world, run managers over
 // it machine-checked, aggregate statistics over seeds. The table/figure
-// benches (bench_table3 and bench_table14 build their own worlds), the
-// chaos and fleet sweeps and the runner-level tests all run through it.
+// benches (bench_table3 builds its own world), the chaos and fleet sweeps
+// and the runner-level tests all run through it.
 //
 // Each step is defined once:
 //   build_world   common::Rng rng(seed)

@@ -2,14 +2,17 @@
 # The pre-commit loop: configure, build, and run the tier-1 test suite
 # plus the documentation lint (check_docs.sh, ctest label `docs`), the
 # perf smoke (`bench_perf --smoke`, label `perf`, which exercises the
-# batched DSP kernels and their correctness/allocation gates), and the
+# batched DSP kernels and their correctness/allocation gates), the
 # fleet determinism layer (label `fleet`: multi-UE engine pinned against
-# the single-UE simulator and across thread counts) — the fast checks
-# every change must keep green (ROADMAP.md).
+# the single-UE simulator and across thread counts), and the golden-trace
+# corpus replay (label `golden`, about 1 s: catches byte drift from a
+# hot-path refactor) — the fast checks every change must keep green
+# (ROADMAP.md).
 #
-#   scripts/check_tier1.sh              # tier1 + docs + perf + fleet
-#   scripts/check_tier1.sh --all        # every ctest label (slow/chaos/
-#                                       # golden included) plus the golden
+#   scripts/check_tier1.sh              # tier1 + docs + perf + fleet +
+#                                       # golden
+#   scripts/check_tier1.sh --all        # every ctest label (slow/chaos
+#                                       # included) plus the golden
 #                                       # byte check (update_goldens.sh
 #                                       # --check) and the benchmark's
 #                                       # self-test (perfbench/run.py
@@ -31,7 +34,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 build="${BUILD_DIR:-build}"
 
-ctest_args=(-L 'tier1|docs|perf|fleet')
+ctest_args=(-L 'tier1|docs|perf|fleet|golden')
 all_checks=0
 soak=0
 scenarios=0

@@ -1,12 +1,25 @@
 #include "core/legacy_manager.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 namespace rem::core {
 
 namespace rm = rem::mobility;
 
-LegacyManager::LegacyManager(LegacyConfig cfg) : cfg_(std::move(cfg)) {}
+LegacyManager::LegacyManager(LegacyConfig cfg) : cfg_(std::move(cfg)) {
+  rules_stride_ = cfg_.default_policy.rules.size();
+  for (const auto& [cell, policy] : cfg_.policies)
+    rules_stride_ = std::max(rules_stride_, policy.rules.size());
+}
+
+rm::TriggerState& LegacyManager::monitor(std::size_t rule, int cell) {
+  const auto slot = static_cast<std::size_t>(cell + 1);
+  if ((slot + 1) * rules_stride_ > monitors_.size())
+    monitors_.resize((slot + 1) * rules_stride_);
+  return monitors_[slot * rules_stride_ + rule];
+}
 
 const rm::CellPolicy& LegacyManager::serving_policy() const {
   const auto it = cfg_.policies.find(serving_id_.cell);
@@ -31,6 +44,7 @@ void LegacyManager::on_serving_changed(double /*t*/, std::size_t new_idx) {
   pending_stage_ = -1;
   stage_change_due_ = -1.0;
   monitors_.clear();
+  for (const auto idx : visible_) is_visible_[idx] = 0;
   visible_.clear();
   last_decision_t_ = -1e9;
 }
@@ -48,50 +62,46 @@ std::optional<sim::HandoverDecision> LegacyManager::update(
     pending_stage_ = -1;
     ++reconfigurations_;
     // New measurement configuration resets the neighbor monitors (the
-    // serving-only guards stay armed).
-    for (auto& [k, mon] : monitors_) {
-      if (mon.config().type != rm::EventType::kA1 &&
-          mon.config().type != rm::EventType::kA2)
-        mon.reset();
-    }
+    // serving-only guards in slot 0 stay armed).
+    if (monitors_.size() > rules_stride_) monitors_.resize(rules_stride_);
   }
 
   // Track what this stage can see (for missed-cell classification) and
   // build the measurement task list that sets the feedback delay. The
   // monitored set is bounded: only the strongest cells get measured.
+  for (const auto idx : visible_) is_visible_[idx] = 0;
   visible_.clear();
-  std::vector<std::pair<double, const sim::Observation*>> candidates;
-  const auto stage_rules = policy.rules_in_stage(stage_);
+  candidates_.clear();
   for (const auto& o : neighbors) {
     // A breaker-open target is hidden from monitoring entirely until the
     // breaker admits traffic again (never true unless breakers are on).
     if (o.breaker_open) continue;
-    for (const auto* rule : stage_rules) {
-      if (rule->event.type == rm::EventType::kA1 ||
-          rule->event.type == rm::EventType::kA2)
+    if (o.id.cell < 0)
+      throw std::invalid_argument("LegacyManager: neighbor without a cell id");
+    for (const auto& rule : policy.rules) {
+      if (rule.stage != stage_) continue;
+      if (rule.event.type == rm::EventType::kA1 ||
+          rule.event.type == rm::EventType::kA2)
         continue;  // serving-only
-      if (!rule_matches(*rule, serving.id, o.id)) continue;
-      candidates.push_back({-o.rsrp_dbm, &o});
+      if (!rule_matches(rule, serving.id, o.id)) continue;
+      candidates_.push_back({-o.rsrp_dbm, &o});
       break;
     }
   }
-  std::sort(candidates.begin(), candidates.end());
-  if (candidates.size() > cfg_.max_monitored_cells)
-    candidates.resize(cfg_.max_monitored_cells);
-  std::vector<rm::MeasureTask> tasks;
-  for (const auto& [neg, o] : candidates) {
-    visible_.insert(o->cell_idx);
-    tasks.push_back({o->id, o->id.channel == serving.id.channel});
+  std::sort(candidates_.begin(), candidates_.end());
+  if (candidates_.size() > cfg_.max_monitored_cells)
+    candidates_.resize(cfg_.max_monitored_cells);
+  tasks_.clear();
+  for (const auto& [neg, o] : candidates_) {
+    if (o->cell_idx >= is_visible_.size())
+      is_visible_.resize(o->cell_idx + 1, 0);
+    is_visible_[o->cell_idx] = 1;
+    visible_.push_back(o->cell_idx);
+    tasks_.push_back({o->id, o->id.channel == serving.id.channel});
   }
 
   std::optional<sim::HandoverDecision> decision;
-  // Handover rules that fired this tick, for the load-aware tie-break.
-  struct Fired {
-    double metric;
-    std::size_t idx;
-    double load;
-  };
-  std::vector<Fired> fired;
+  fired_.clear();  // handover rules fired this tick, for the tie-break
   for (std::size_t r = 0; r < policy.rules.size(); ++r) {
     const auto& rule = policy.rules[r];
     if (rule.stage != stage_) continue;
@@ -106,12 +116,11 @@ std::optional<sim::HandoverDecision> LegacyManager::update(
     // Evaluate against each applicable neighbor (or once for A1/A2).
     const auto eval_one = [&](int neighbor_cell, double neighbor_metric,
                               std::size_t target_idx, double adv_load) {
-      const auto key = std::make_pair(static_cast<int>(r), neighbor_cell);
-      auto [it, inserted] =
-          monitors_.try_emplace(key, rm::EventMonitor(rule.event));
-      if (!it->second.update(t, serving.rsrp_dbm, neighbor_metric)) return;
+      if (!rm::update_trigger(rule.event, monitor(r, neighbor_cell), t,
+                              serving.rsrp_dbm, neighbor_metric))
+        return;
       if (rule.action == rm::PolicyAction::kHandover)
-        fired.push_back({neighbor_metric, target_idx, adv_load});
+        fired_.push_back({neighbor_metric, target_idx, adv_load});
       if (rule.action == rm::PolicyAction::kReconfigure) {
         if (rule.next_stage != stage_ && pending_stage_ < 0) {
           // Feedback + reconfiguration command round trip before the new
@@ -134,7 +143,7 @@ std::optional<sim::HandoverDecision> LegacyManager::update(
       sim::HandoverDecision d;
       d.target_idx = target_idx;
       d.feedback_delay_s = rm::legacy_feedback_delay_s(
-          tasks, cfg_.measurement, reconfigurations_);
+          tasks_, cfg_.measurement, reconfigurations_);
       decision = d;
     };
 
@@ -143,7 +152,8 @@ std::optional<sim::HandoverDecision> LegacyManager::update(
       continue;
     }
     for (const auto& o : neighbors) {
-      if (visible_.count(o.cell_idx) == 0) continue;  // not monitored
+      if (o.cell_idx >= is_visible_.size() || !is_visible_[o.cell_idx])
+        continue;  // not monitored
       if (!rule_matches(rule, serving.id, o.id)) continue;
       eval_one(o.id.cell, o.rsrp_dbm, o.cell_idx, o.advertised_load);
     }
@@ -155,16 +165,16 @@ std::optional<sim::HandoverDecision> LegacyManager::update(
   // then the lower cell index. Only a known ad in the band can move the
   // choice, so runs without load advertisement keep the first-firing-rule
   // winner bit-for-bit.
-  if (decision && !fired.empty() && cfg_.load_tie_band_db > 0.0) {
-    const double floor = fired.front().metric - cfg_.load_tie_band_db;
+  if (decision && !fired_.empty() && cfg_.load_tie_band_db > 0.0) {
+    const double floor = fired_.front().metric - cfg_.load_tie_band_db;
     bool any_ad = false;
-    for (const auto& f : fired)
+    for (const auto& f : fired_)
       if (f.metric >= floor && f.load >= 0.0) any_ad = true;
     if (any_ad) {
       double sel_eff = 2.0;
       double sel_metric = -1e9;
       std::size_t sel_idx = decision->target_idx;
-      for (const auto& f : fired) {
+      for (const auto& f : fired_) {
         if (f.metric < floor) continue;
         const double eff = f.load >= 0.0 ? f.load : 0.5;
         const bool better =
@@ -190,7 +200,7 @@ std::optional<sim::HandoverDecision> LegacyManager::update(
     last_decision_t_ = t;
     // A decision re-arms the triggers so a lost report can re-fire after
     // the re-fire interval.
-    for (auto& [k, mon] : monitors_) mon.reset();
+    monitors_.clear();
   }
   return decision;
 }

@@ -9,6 +9,9 @@
 #include "sim/simulator.hpp"
 
 #include <map>
+#include <set>
+#include <utility>
+#include <vector>
 
 namespace rem::core {
 
@@ -44,7 +47,7 @@ class LegacyManager final : public sim::MobilityManager {
       double t, const sim::ServingState& serving,
       const std::vector<sim::Observation>& neighbors) override;
   std::set<std::size_t> visible_cells() const override {
-    return visible_;
+    return {visible_.begin(), visible_.end()};
   }
   void on_serving_changed(double t, std::size_t new_idx) override;
 
@@ -67,9 +70,30 @@ class LegacyManager final : public sim::MobilityManager {
   int pending_stage_ = -1;
   double stage_change_due_ = -1.0;
   double last_decision_t_ = -1e9;
-  /// TTT monitors keyed by (rule index, neighbor cell id).
-  std::map<std::pair<int, int>, mobility::EventMonitor> monitors_;
-  std::set<std::size_t> visible_;
+  /// TTT state per (rule index, neighbor cell id), read under the serving
+  /// policy's rule configs (a serving change clears it). Flat: slot (cell
+  /// id + 1; slot 0 holds the serving-only A1/A2 guards) times
+  /// `rules_stride_`, the most rules any configured policy has. Grows to
+  /// the largest cell id seen, fresh states filling the new slots, so a
+  /// reset truncates.
+  mobility::TriggerState& monitor(std::size_t rule, int cell);
+  std::vector<mobility::TriggerState> monitors_;
+  std::size_t rules_stride_ = 0;
+  /// The bounded monitored set of this stage, strongest first, and the
+  /// same set as a mark per cell index.
+  std::vector<std::size_t> visible_;
+  std::vector<char> is_visible_;
+
+  // Per-update scratch, cleared and reused so an update allocates nothing
+  // once the buffers have grown.
+  std::vector<std::pair<double, const sim::Observation*>> candidates_;
+  std::vector<mobility::MeasureTask> tasks_;
+  struct Fired {
+    double metric;
+    std::size_t idx;
+    double load;
+  };
+  std::vector<Fired> fired_;  ///< handover rules fired this update
 };
 
 }  // namespace rem::core

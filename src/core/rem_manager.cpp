@@ -4,9 +4,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <limits>
+#include <stdexcept>
 
 namespace rem::core {
+namespace {
+
+constexpr double kNotEntered = std::numeric_limits<double>::quiet_NaN();
+
+}  // namespace
 
 void RemManager::on_serving_changed(double /*t*/, std::size_t /*new_idx*/) {
   entered_.clear();
@@ -32,34 +38,42 @@ std::optional<sim::HandoverDecision> RemManager::update(
   // there is no multi-stage gating to miss a cell behind. Only the
   // strongest few sites are measured per cycle (bounded monitored set).
   visible_.clear();
-  std::map<int, double> site_strength;  // site -> best observed dd-SNR
+  ranked_.clear();
   for (const auto& o : neighbors) {
-    visible_.insert(o.cell_idx);
-    auto [it, inserted] =
-        site_strength.try_emplace(o.id.base_station, o.dd_snr_db);
-    if (!inserted) it->second = std::max(it->second, o.dd_snr_db);
+    // TTT state is indexed by cell id: grow it to the largest id seen.
+    if (o.id.cell < 0)
+      throw std::invalid_argument("RemManager: neighbor without a cell id");
+    if (static_cast<std::size_t>(o.id.cell) >= entered_.size())
+      entered_.resize(static_cast<std::size_t>(o.id.cell) + 1, kNotEntered);
+    visible_.push_back(o.cell_idx);
+    // Best observed dd-SNR per site (a handful of sites: linear search).
+    const auto it = std::find_if(
+        ranked_.begin(), ranked_.end(),
+        [&](const auto& r) { return r.second == o.id.base_station; });
+    if (it == ranked_.end())
+      ranked_.push_back({o.dd_snr_db, o.id.base_station});
+    else
+      it->first = std::max(it->first, o.dd_snr_db);
   }
-  std::vector<std::pair<double, int>> ranked;  // (-snr, site)
-  ranked.reserve(site_strength.size());
-  for (const auto& [site, snr] : site_strength)
-    ranked.push_back({-snr, site});
-  std::sort(ranked.begin(), ranked.end());
-  if (ranked.size() > cfg_.max_measured_sites)
-    ranked.resize(cfg_.max_measured_sites);
-  std::set<int> measured;
-  for (const auto& [neg, site] : ranked) measured.insert(site);
-  std::vector<mobility::MeasureTask> tasks;
-  std::set<int> task_sites;
+  for (auto& r : ranked_) r.first = -r.first;  // strongest site first
+  std::sort(ranked_.begin(), ranked_.end());
+  if (ranked_.size() > cfg_.max_measured_sites)
+    ranked_.resize(cfg_.max_measured_sites);
+  const auto measured = [&](int site) {
+    return std::any_of(ranked_.begin(), ranked_.end(),
+                       [&](const auto& r) { return r.second == site; });
+  };
+  tasks_.clear();
   for (const auto& o : neighbors) {
-    if (measured.count(o.id.base_station) == 0) continue;
-    if (crossband) {
-      // One measurement per site; siblings are estimated.
-      if (task_sites.insert(o.id.base_station).second)
-        tasks.push_back({o.id, o.id.channel == serving.id.channel});
-    } else {
-      // Ablation: every monitored cell costs its own measurement.
-      tasks.push_back({o.id, o.id.channel == serving.id.channel});
-    }
+    if (!measured(o.id.base_station)) continue;
+    // One measurement per site, siblings estimated; without cross-band
+    // (ablation) every monitored cell costs its own measurement.
+    if (crossband &&
+        std::any_of(tasks_.begin(), tasks_.end(), [&](const auto& task) {
+          return task.cell.base_station == o.id.base_station;
+        }))
+      continue;
+    tasks_.push_back({o.id, o.id.channel == serving.id.channel});
   }
 
   // Stable DD-SNR comparison with the coordinated A3 offset. Estimated
@@ -82,41 +96,42 @@ std::optional<sim::HandoverDecision> RemManager::update(
   // offset-sum condition as the winner.
   int second_target = -1;
   double second_metric = -1e9;
-  std::map<int, int> site_direct;  // site -> cell idx measured directly
-  // TTT-qualified candidates this tick, for the load-aware tie-break.
-  struct Qualified {
-    double metric;
-    std::size_t idx;
-    double load;
-  };
-  std::vector<Qualified> qualified;
+  // Per site, the cell measured directly: the first one not hidden by
+  // its breaker. TTT-qualified candidates feed the load-aware tie-break.
+  site_direct_.clear();
+  qualified_.clear();
   for (const auto& o : neighbors) {
+    double& entered = entered_[static_cast<std::size_t>(o.id.cell)];
     if (o.breaker_open) {
       // The circuit breaker tripped on this target: hidden from selection
       // entirely, and its TTT state resets so it must re-qualify from
       // scratch once the breaker admits traffic again.
-      entered_.erase(o.id.cell);
+      entered = kNotEntered;
       continue;
     }
-    auto [it, inserted] =
-        site_direct.try_emplace(o.id.base_station, static_cast<int>(o.cell_idx));
+    const int idx = static_cast<int>(o.cell_idx);
+    const auto it = std::find_if(
+        site_direct_.begin(), site_direct_.end(),
+        [&](const auto& sd) { return sd.first == o.id.base_station; });
+    const bool is_direct = it == site_direct_.end() || it->second == idx;
+    if (it == site_direct_.end())
+      site_direct_.push_back({o.id.base_station, idx});
     // Degraded mode swaps the stale delay-Doppler estimate for the fresh
     // direct measurement of the same cell.
     double snr = degraded_ ? o.snr_db : o.dd_snr_db;
     // A sibling of the measured cell is estimated (cross-band error);
     // with the ablation every monitored cell is measured directly, which
     // removed the error but paid per-cell measurement time above.
-    const bool is_estimated =
-        crossband && it->second != static_cast<int>(o.cell_idx);
+    const bool is_estimated = crossband && !is_direct;
     if (is_estimated)
       snr += rng_.gaussian(0.0, cfg_.crossband_error_sigma_db);
     const double metric = policy_metric(snr, o.bandwidth_hz);
     const double threshold =
         serving_metric + cfg_.a3_offset_db + cfg_.hysteresis_db;
     if (metric > threshold) {
-      auto [e_it, e_inserted] = entered_.try_emplace(o.id.cell, t);
-      if (t - e_it->second + 1e-12 >= cfg_.time_to_trigger_s) {
-        qualified.push_back({metric, o.cell_idx, o.advertised_load});
+      if (std::isnan(entered)) entered = t;
+      if (t - entered + 1e-12 >= cfg_.time_to_trigger_s) {
+        qualified_.push_back({metric, o.cell_idx, o.advertised_load});
         if (metric > best_metric) {
           if (best_target) {
             second_metric = best_metric;
@@ -130,7 +145,7 @@ std::optional<sim::HandoverDecision> RemManager::update(
         }
       }
     } else {
-      entered_.erase(o.id.cell);
+      entered = kNotEntered;
     }
   }
 
@@ -147,13 +162,13 @@ std::optional<sim::HandoverDecision> RemManager::update(
   if (cfg_.load_tie_band_db > 0.0) {
     const double floor = best_metric - cfg_.load_tie_band_db;
     bool any_ad = false;
-    for (const auto& q : qualified)
+    for (const auto& q : qualified_)
       if (q.metric >= floor && q.load >= 0.0) any_ad = true;
     if (any_ad) {
       double sel_eff = 2.0;  // above any real utilization
       double sel_metric = -1e9;
       std::size_t sel_idx = *best_target;
-      for (const auto& q : qualified) {
+      for (const auto& q : qualified_) {
         if (q.metric < floor) continue;
         const double eff = q.load >= 0.0 ? q.load : 0.5;
         const bool better =
@@ -184,8 +199,8 @@ std::optional<sim::HandoverDecision> RemManager::update(
   // monitored cell is measured the legacy way (sequentially, with gaps
   // for inter-frequency cells).
   d.feedback_delay_s =
-      crossband ? mobility::rem_feedback_delay_s(tasks, cfg_.measurement)
-                : mobility::legacy_feedback_delay_s(tasks, cfg_.measurement);
+      crossband ? mobility::rem_feedback_delay_s(tasks_, cfg_.measurement)
+                : mobility::legacy_feedback_delay_s(tasks_, cfg_.measurement);
   return d;
 }
 

@@ -7,7 +7,9 @@
 #include "mobility/measurement.hpp"
 #include "sim/simulator.hpp"
 
-#include <map>
+#include <set>
+#include <utility>
+#include <vector>
 
 namespace rem::core {
 
@@ -81,7 +83,9 @@ class RemManager final : public sim::MobilityManager {
   std::optional<sim::HandoverDecision> update(
       double t, const sim::ServingState& serving,
       const std::vector<sim::Observation>& neighbors) override;
-  std::set<std::size_t> visible_cells() const override { return visible_; }
+  std::set<std::size_t> visible_cells() const override {
+    return {visible_.begin(), visible_.end()};
+  }
   void on_serving_changed(double t, std::size_t new_idx) override;
   /// True while stale cross-band estimates forced the fallback to direct
   /// measurement (temporary use_crossband bypass).
@@ -92,9 +96,24 @@ class RemManager final : public sim::MobilityManager {
   common::Rng rng_;
   bool degraded_ = false;
   double last_decision_t_ = -1e9;
-  /// A3 entry timestamps per neighbor cell (TTT tracking).
-  std::map<int, double> entered_;
-  std::set<std::size_t> visible_;
+  /// A3 entry timestamp per neighbor cell id (TTT tracking); NaN while
+  /// the cell is not in the entering condition. Grows to the largest id
+  /// seen.
+  std::vector<double> entered_;
+  /// Cell indices of the last update's neighbors, in neighbor order.
+  std::vector<std::size_t> visible_;
+
+  // Per-update scratch, cleared and reused so an update allocates nothing
+  // once the buffers have grown.
+  std::vector<std::pair<double, int>> ranked_;    ///< (-best dd-SNR, site)
+  std::vector<mobility::MeasureTask> tasks_;
+  std::vector<std::pair<int, int>> site_direct_;  ///< (site, measured idx)
+  struct Qualified {
+    double metric;
+    std::size_t idx;
+    double load;
+  };
+  std::vector<Qualified> qualified_;  ///< TTT-qualified this update
 };
 
 }  // namespace rem::core

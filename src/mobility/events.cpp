@@ -1,5 +1,7 @@
 #include "mobility/events.hpp"
 
+#include <cmath>
+
 namespace rem::mobility {
 
 std::string event_name(EventType t) {
@@ -31,24 +33,19 @@ bool event_condition(const EventConfig& cfg, double serving,
   return false;
 }
 
-bool EventMonitor::update(double t, double serving, double neighbor) {
-  if (!event_condition(cfg_, serving, neighbor)) {
-    entered_at_.reset();
-    fired_ = false;
+bool update_trigger(const EventConfig& cfg, TriggerState& state, double t,
+                    double serving, double neighbor) {
+  if (!event_condition(cfg, serving, neighbor)) {
+    state = {};
     return false;
   }
-  if (!entered_at_) entered_at_ = t;
-  if (fired_) return false;  // report once per entry
-  if (t - *entered_at_ + 1e-12 >= cfg_.time_to_trigger_s) {
-    fired_ = true;
+  if (std::isnan(state.entered_at)) state.entered_at = t;
+  if (state.fired) return false;  // report once per entry
+  if (t - state.entered_at + 1e-12 >= cfg.time_to_trigger_s) {
+    state.fired = true;
     return true;
   }
   return false;
-}
-
-void EventMonitor::reset() {
-  entered_at_.reset();
-  fired_ = false;
 }
 
 }  // namespace rem::mobility

@@ -2,9 +2,8 @@
 // TimeToTrigger semantics per TS 36.331 / 38.331.
 #pragma once
 
-#include <optional>
+#include <limits>
 #include <string>
-#include <unordered_map>
 
 namespace rem::mobility {
 
@@ -35,26 +34,22 @@ struct EventConfig {
 bool event_condition(const EventConfig& cfg, double serving,
                      double neighbor);
 
-/// Tracks a single (event, neighbor) pair across time and applies
-/// TimeToTrigger: fires once the entering condition has held continuously
-/// for time_to_trigger_s. Re-arms after the condition lapses.
-class EventMonitor {
- public:
-  explicit EventMonitor(EventConfig cfg) : cfg_(cfg) {}
-
-  const EventConfig& config() const { return cfg_; }
-
-  /// Feed one measurement sample at time `t`; returns true when the event
-  /// fires (first sample at which the condition has held for TTT).
-  bool update(double t, double serving, double neighbor);
-
-  /// Forget any partially elapsed trigger (e.g. after reconfiguration).
-  void reset();
-
- private:
-  EventConfig cfg_;
-  std::optional<double> entered_at_;
-  bool fired_ = false;
+/// TimeToTrigger progress of a single (event, neighbor) pair: when the
+/// entering condition started to hold (NaN while it does not) and whether
+/// this entry has already fired. A default-constructed state is fresh;
+/// assigning `{}` forgets any partially elapsed trigger (e.g. after a
+/// reconfiguration). The config stays with the caller, so a manager can
+/// keep many of these in a flat array.
+struct TriggerState {
+  double entered_at = std::numeric_limits<double>::quiet_NaN();
+  bool fired = false;
 };
+
+/// Feed one measurement sample at time `t` to `state` under `cfg`; returns
+/// true when the event fires: the first sample at which the entering
+/// condition has held continuously for time_to_trigger_s. Fires once per
+/// entry and re-arms after the condition lapses.
+bool update_trigger(const EventConfig& cfg, TriggerState& state, double t,
+                    double serving, double neighbor);
 
 }  // namespace rem::mobility

@@ -27,10 +27,11 @@ std::vector<double> ar1_grid(std::size_t steps, double sigma, double decorr,
 RadioEnv::RadioEnv(std::vector<Cell> cells, PropagationConfig cfg,
                    common::Rng rng, std::vector<HoleSegment> holes)
     : cells_(std::move(cells)), cfg_(cfg), holes_(std::move(holes)) {
+  double track_len_m = 0.0;
   for (const auto& c : cells_)
-    track_len_m_ = std::max(track_len_m_, c.site_pos_m + 5000.0);
-  const auto steps =
-      static_cast<std::size_t>(track_len_m_ / kShadowStep_m) + 2;
+    track_len_m = std::max(track_len_m, c.site_pos_m + 5000.0);
+  const auto steps = static_cast<std::size_t>(track_len_m / kShadowStep_m) + 2;
+  grid_steps_ = steps;
 
   // One shared shadowing process per physical site, plus a small
   // frequency-dependent residual per cell. Co-sited cells thus see nearly
@@ -39,7 +40,11 @@ RadioEnv::RadioEnv(std::vector<Cell> cells, PropagationConfig cfg,
   std::map<int, std::size_t> site_grid_index;
   cell_site_grid_.resize(cells_.size());
   cell_shadow_grids_.resize(cells_.size());
+  carrier_loss_db_.resize(cells_.size());
   for (std::size_t i = 0; i < cells_.size(); ++i) {
+    // Log-distance path loss carries a mild frequency term (higher
+    // carriers lose more).
+    carrier_loss_db_[i] = 20.0 * std::log10(cells_[i].carrier_hz / 2.0e9);
     const int site = cells_[i].id.base_station;
     auto [it, inserted] =
         site_grid_index.try_emplace(site, site_shadow_grids_.size());
@@ -55,21 +60,16 @@ RadioEnv::RadioEnv(std::vector<Cell> cells, PropagationConfig cfg,
   }
 }
 
-double RadioEnv::sample_grid(const std::vector<double>& grid,
-                             double track_pos_m) const {
+RadioEnv::TrackPoint RadioEnv::track_point(double track_pos_m) const {
+  TrackPoint at;
+  at.pos_m = track_pos_m;
+  at.in_hole = position_in_hole(track_pos_m);
   const double f = std::clamp(track_pos_m / kShadowStep_m, 0.0,
-                              static_cast<double>(grid.size() - 1));
-  const auto i0 = static_cast<std::size_t>(f);
-  const auto i1 = std::min(i0 + 1, grid.size() - 1);
-  const double frac = f - static_cast<double>(i0);
-  return grid[i0] * (1.0 - frac) + grid[i1] * frac;
-}
-
-double RadioEnv::shadowing_db(std::size_t cell_idx,
-                              double track_pos_m) const {
-  return sample_grid(site_shadow_grids_[cell_site_grid_[cell_idx]],
-                     track_pos_m) +
-         sample_grid(cell_shadow_grids_[cell_idx], track_pos_m);
+                              static_cast<double>(grid_steps_ - 1));
+  at.i0 = static_cast<std::size_t>(f);
+  at.i1 = std::min(at.i0 + 1, grid_steps_ - 1);
+  at.frac = f - static_cast<double>(at.i0);
+  return at;
 }
 
 bool RadioEnv::position_in_hole(double track_pos_m) const {
@@ -81,43 +81,33 @@ bool RadioEnv::position_in_hole(double track_pos_m) const {
 }
 
 double RadioEnv::mean_rsrp_dbm(std::size_t cell_idx,
-                               double track_pos_m) const {
+                               const TrackPoint& at) const {
   const Cell& c = cells_[cell_idx];
-  const double dx = track_pos_m - c.site_pos_m;
+  const double dx = at.pos_m - c.site_pos_m;
   const double d = std::max(
       std::sqrt(dx * dx + c.site_offset_m * c.site_offset_m), 1.0);
-  // Log-distance with a mild frequency term (higher carriers lose more).
   double pl = cfg_.ref_loss_db +
               10.0 * cfg_.pathloss_exponent * std::log10(d) +
-              20.0 * std::log10(c.carrier_hz / 2.0e9);
-  if (position_in_hole(track_pos_m)) pl += cfg_.hole_extra_loss_db;
-  return c.tx_power_dbm - pl + shadowing_db(cell_idx, track_pos_m);
-}
-
-double RadioEnv::instant_rsrp_dbm(std::size_t cell_idx, double track_pos_m,
-                                  common::Rng& rng) const {
-  return mean_rsrp_dbm(cell_idx, track_pos_m) +
-         rng.gaussian(0.0, cfg_.fading_sigma_db);
-}
-
-double RadioEnv::dd_snr_db(std::size_t cell_idx, double track_pos_m,
-                           common::Rng& rng) const {
-  const double rsrp = mean_rsrp_dbm(cell_idx, track_pos_m) +
-                      rng.gaussian(0.0, cfg_.dd_residual_sigma_db);
-  return snr_db_from_rsrp(rsrp);
-}
-
-double RadioEnv::snr_db_from_rsrp(double rsrp_dbm) const {
-  return rsrp_dbm - cfg_.noise_floor_dbm;
+              carrier_loss_db_[cell_idx];
+  if (at.in_hole) pl += cfg_.hole_extra_loss_db;
+  // Correlated shadowing: the site's process plus the cell's small
+  // residual (AR(1) grids, linearly interpolated).
+  const auto sample = [&](const std::vector<double>& grid) {
+    return grid[at.i0] * (1.0 - at.frac) + grid[at.i1] * at.frac;
+  };
+  return c.tx_power_dbm - pl +
+         (sample(site_shadow_grids_[cell_site_grid_[cell_idx]]) +
+          sample(cell_shadow_grids_[cell_idx]));
 }
 
 int RadioEnv::best_cell(double track_pos_m, double min_rsrp_dbm,
                         int exclude_idx) const {
+  const TrackPoint at = track_point(track_pos_m);
   int best = -1;
   double best_rsrp = min_rsrp_dbm;
   for (std::size_t i = 0; i < cells_.size(); ++i) {
     if (static_cast<int>(i) == exclude_idx) continue;
-    const double r = mean_rsrp_dbm(i, track_pos_m);
+    const double r = mean_rsrp_dbm(i, at);
     if (r > best_rsrp) {
       best_rsrp = r;
       best = static_cast<int>(i);
@@ -128,11 +118,12 @@ int RadioEnv::best_cell(double track_pos_m, double min_rsrp_dbm,
 
 int RadioEnv::best_cell(double track_pos_m, double min_rsrp_dbm,
                         const std::vector<char>& excluded) const {
+  const TrackPoint at = track_point(track_pos_m);
   int best = -1;
   double best_rsrp = min_rsrp_dbm;
   for (std::size_t i = 0; i < cells_.size(); ++i) {
     if (i < excluded.size() && excluded[i]) continue;
-    const double r = mean_rsrp_dbm(i, track_pos_m);
+    const double r = mean_rsrp_dbm(i, at);
     if (r > best_rsrp) {
       best_rsrp = r;
       best = static_cast<int>(i);

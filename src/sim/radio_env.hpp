@@ -59,20 +59,49 @@ class RadioEnv {
   const std::vector<Cell>& cells() const { return cells_; }
   const PropagationConfig& config() const { return cfg_; }
 
+  /// What every cell shares about one track position: the hole-segment
+  /// test and the shadowing-grid interpolation point. A caller that needs
+  /// several cells' means at one position builds this once.
+  struct TrackPoint {
+    double pos_m = 0.0;
+    bool in_hole = false;
+    std::size_t i0 = 0, i1 = 0;  ///< shadowing-grid samples around pos_m
+    double frac = 0.0;           ///< interpolation weight of sample i1
+  };
+  TrackPoint track_point(double track_pos_m) const;
+
   /// Deterministic mean RSRP (path loss + shadowing, no fast fading).
-  double mean_rsrp_dbm(std::size_t cell_idx, double track_pos_m) const;
+  double mean_rsrp_dbm(std::size_t cell_idx, const TrackPoint& at) const;
+  double mean_rsrp_dbm(std::size_t cell_idx, double track_pos_m) const {
+    return mean_rsrp_dbm(cell_idx, track_point(track_pos_m));
+  }
 
-  /// Instantaneous RSRP with fast fading — what legacy feedback measures.
+  /// Instantaneous RSRP with fast fading around a cell's mean RSRP (one
+  /// normal draw) — what legacy feedback measures.
+  double faded_rsrp_dbm(double mean_dbm, common::Rng& rng) const {
+    return mean_dbm + rng.gaussian(0.0, cfg_.fading_sigma_db);
+  }
   double instant_rsrp_dbm(std::size_t cell_idx, double track_pos_m,
-                          common::Rng& rng) const;
+                          common::Rng& rng) const {
+    return faded_rsrp_dbm(mean_rsrp_dbm(cell_idx, track_pos_m), rng);
+  }
 
-  /// Stable delay-Doppler SNR (dB): fading averaged over the grid, small
-  /// residual only — what REM's overlay measures.
+  /// Stable delay-Doppler SNR (dB) around a cell's mean RSRP: fading
+  /// averaged over the grid, small residual only (one normal draw) — what
+  /// REM's overlay measures.
+  double dd_snr_from_mean_db(double mean_dbm, common::Rng& rng) const {
+    return snr_db_from_rsrp(mean_dbm +
+                            rng.gaussian(0.0, cfg_.dd_residual_sigma_db));
+  }
   double dd_snr_db(std::size_t cell_idx, double track_pos_m,
-                   common::Rng& rng) const;
+                   common::Rng& rng) const {
+    return dd_snr_from_mean_db(mean_rsrp_dbm(cell_idx, track_pos_m), rng);
+  }
 
   /// SNR corresponding to a given RSRP on this cell.
-  double snr_db_from_rsrp(double rsrp_dbm) const;
+  double snr_db_from_rsrp(double rsrp_dbm) const {
+    return rsrp_dbm - cfg_.noise_floor_dbm;
+  }
 
   /// Index of the strongest cell by mean RSRP (coverage-hole cells
   /// excluded); returns -1 if everything is below `min_rsrp_dbm`.
@@ -96,20 +125,17 @@ class RadioEnv {
   bool position_in_hole(double track_pos_m) const;
 
  private:
-  /// Correlated shadowing for a cell at a track position: the site's
-  /// process plus the cell's small residual (AR(1) grids, interpolated).
-  double shadowing_db(std::size_t cell_idx, double track_pos_m) const;
-  double sample_grid(const std::vector<double>& grid,
-                     double track_pos_m) const;
-
   std::vector<Cell> cells_;
   PropagationConfig cfg_;
   std::vector<HoleSegment> holes_;
-  /// Per-site and per-cell residual shadowing grids, step `kShadowStep_m`.
+  /// Per-site and per-cell residual shadowing grids, step `kShadowStep_m`,
+  /// all `grid_steps_` long.
   std::vector<std::vector<double>> site_shadow_grids_;
   std::vector<std::vector<double>> cell_shadow_grids_;
   std::vector<std::size_t> cell_site_grid_;  ///< cell idx -> site grid idx
-  double track_len_m_ = 0.0;
+  /// Per-cell carrier term of the path loss, 20*log10(f / 2 GHz).
+  std::vector<double> carrier_loss_db_;
+  std::size_t grid_steps_ = 0;
   static constexpr double kShadowStep_m = 10.0;
 };
 

@@ -193,6 +193,7 @@ class FleetEngine {
     // model to measure: silently inert otherwise.
     load_ads_ = use_net_ && use_cap_ && cfg_.load_ad_staleness_s > 0.0;
     if (load_ads_) load_ad_.assign(env_.cells().size(), {-1.0, -1.0});
+    tick_mean_.assign(env_.cells().size(), kNaN);
   }
 
   /// Register the next UE (ids assigned in call order) and perform its
@@ -1018,15 +1019,19 @@ class FleetEngine {
     }
 
     // ---- Radio state ----
+    // Every cell sampled this UE-tick starts from its one mean RSRP
+    // (tick_mean), then draws fast fading, then the DD residual.
+    tick_at_ = env_.track_point(u.pos);
+    std::fill(tick_mean_.begin(), tick_mean_.end(), kNaN);
     const bool pilot_out = faults_.active(FaultKind::kPilotOutage, t);
     const double pilot_sigma = faults_.magnitude(FaultKind::kPilotOutage, t);
     ServingState sv;
     sv.cell_idx = static_cast<std::size_t>(u.serving);
     sv.id = env_.cells()[sv.cell_idx].id;
     const double sv_atten_db = blackout_db_ + crash_db(sv.cell_idx);
-    sv.rsrp_dbm =
-        env_.instant_rsrp_dbm(sv.cell_idx, u.pos, *u.rng) - sv_atten_db;
-    sv.dd_snr_db = env_.dd_snr_db(sv.cell_idx, u.pos, *u.rng) - sv_atten_db;
+    const double sv_mean = tick_mean(sv.cell_idx);
+    sv.rsrp_dbm = env_.faded_rsrp_dbm(sv_mean, *u.rng) - sv_atten_db;
+    sv.dd_snr_db = env_.dd_snr_from_mean_db(sv_mean, *u.rng) - sv_atten_db;
     sv.snr_db = env_.snr_db_from_rsrp(sv.rsrp_dbm);
     sv.bandwidth_hz = env_.cells()[sv.cell_idx].bandwidth_hz;
     u.cur_snr = sv.snr_db;
@@ -1049,7 +1054,7 @@ class FleetEngine {
     // ---- Handover execution completion (T304 window) ----
     if (u.exec && t >= u.exec->started_s + cfg_.ho_interruption_s) {
       const std::size_t target = u.exec->target_idx;
-      const double tgt_rsrp = env_.mean_rsrp_dbm(target, u.pos) -
+      const double tgt_rsrp = tick_mean(target) -
                               blackout_db_ - crash_db(target);
       const double tgt_snr = env_.snr_db_from_rsrp(tgt_rsrp);
       if (tgt_snr >= cfg_.min_connect_snr_db) {
@@ -1347,18 +1352,18 @@ class FleetEngine {
     if (!u.exec && t >= u.suppress_until &&
         (!u.pending || u.pending->report_lost || u.pending->command_lost ||
          u.pending->prep_failed || u.pending->decision_shed)) {
-      std::vector<Observation> obs;
+      obs_.clear();
       for (std::size_t i = 0; i < env_.cells().size(); ++i) {
         if (i == sv.cell_idx) continue;
-        const double mean = env_.mean_rsrp_dbm(i, u.pos);
+        const double mean = tick_mean(i);
         if (mean < cfg_.min_coverage_rsrp_dbm - 10.0) continue;
         Observation o;
         o.cell_idx = i;
         o.id = env_.cells()[i].id;
         const double atten_db = blackout_db_ + crash_db(i);
-        o.rsrp_dbm = env_.instant_rsrp_dbm(i, u.pos, *u.rng) - atten_db;
+        o.rsrp_dbm = env_.faded_rsrp_dbm(mean, *u.rng) - atten_db;
         o.snr_db = env_.snr_db_from_rsrp(o.rsrp_dbm);
-        o.dd_snr_db = env_.dd_snr_db(i, u.pos, *u.rng) - atten_db;
+        o.dd_snr_db = env_.dd_snr_from_mean_db(mean, *u.rng) - atten_db;
         if (pilot_out) {
           if (!std::isnan(u.last_dd[i])) o.dd_snr_db = u.last_dd[i] - atten_db;
           o.dd_snr_db += u.rng->gaussian(0.0, pilot_sigma);
@@ -1380,9 +1385,9 @@ class FleetEngine {
           o.breaker_open = true;
           ++u.stats.breaker_skips;
         }
-        obs.push_back(o);
+        obs_.push_back(o);
       }
-      const auto decision = u.manager->update(t, sv, obs);
+      const auto decision = u.manager->update(t, sv, obs_);
       if (decision) {
         log_event(u, t, EventKind::kMeasurementTriggered, u.serving,
                   static_cast<int>(decision->target_idx), sv.snr_db);
@@ -1406,6 +1411,14 @@ class FleetEngine {
       u.degraded_prev = degraded;
     }
     if (degraded) u.stats.degraded_time_s += dt;
+  }
+
+  /// Mean RSRP of cell `i` at the current UE-tick's track point, computed
+  /// at most once per (UE, cell, tick).
+  double tick_mean(std::size_t i) {
+    double& m = tick_mean_[i];
+    if (std::isnan(m)) m = env_.mean_rsrp_dbm(i, tick_at_);
+    return m;
   }
 
   /// End-of-run stats finalization and the observer run-end protocol.
@@ -1506,6 +1519,12 @@ class FleetEngine {
   double bh_loss_ = 0.0;
   double bh_delay_ = 0.0;
   int cur_obs_ue_ = -1;  ///< last UE announced via SimObserver::on_ue
+  // Per-UE-tick scratch, reused across UEs and ticks: the UE's track
+  // point, each cell's mean RSRP there (NaN until tick_mean computes it),
+  // and the observations handed to the manager.
+  RadioEnv::TrackPoint tick_at_;
+  std::vector<double> tick_mean_;
+  std::vector<Observation> obs_;
 
   friend struct TickEmit;
 };

@@ -41,27 +41,29 @@ TEST(Events, HysteresisShiftsThreshold) {
 
 TEST(Events, TimeToTriggerGatesReport) {
   rm::EventConfig a3{rm::EventType::kA3, 0, 0, 3.0, 0, 0.160};
-  rm::EventMonitor mon(a3);
-  EXPECT_FALSE(mon.update(0.00, -100, -95));
-  EXPECT_FALSE(mon.update(0.10, -100, -95));
-  EXPECT_TRUE(mon.update(0.16, -100, -95));   // held long enough
-  EXPECT_FALSE(mon.update(0.20, -100, -95));  // fires once
+  rm::TriggerState st;
+  EXPECT_FALSE(rm::update_trigger(a3, st, 0.00, -100, -95));
+  EXPECT_FALSE(rm::update_trigger(a3, st, 0.10, -100, -95));
+  // Held long enough: fires, and only once per entry.
+  EXPECT_TRUE(rm::update_trigger(a3, st, 0.16, -100, -95));
+  EXPECT_FALSE(rm::update_trigger(a3, st, 0.20, -100, -95));
 }
 
 TEST(Events, ConditionLapseRearmsTrigger) {
   rm::EventConfig a3{rm::EventType::kA3, 0, 0, 3.0, 0, 0.1};
-  rm::EventMonitor mon(a3);
-  EXPECT_FALSE(mon.update(0.00, -100, -95));
-  EXPECT_FALSE(mon.update(0.05, -100, -100));  // condition lapses
-  EXPECT_FALSE(mon.update(0.06, -100, -95));   // re-enter, timer restarts
-  EXPECT_FALSE(mon.update(0.10, -100, -95));
-  EXPECT_TRUE(mon.update(0.16, -100, -95));
+  rm::TriggerState st;
+  EXPECT_FALSE(rm::update_trigger(a3, st, 0.00, -100, -95));
+  // The condition lapses; re-entering restarts the timer.
+  EXPECT_FALSE(rm::update_trigger(a3, st, 0.05, -100, -100));
+  EXPECT_FALSE(rm::update_trigger(a3, st, 0.06, -100, -95));
+  EXPECT_FALSE(rm::update_trigger(a3, st, 0.10, -100, -95));
+  EXPECT_TRUE(rm::update_trigger(a3, st, 0.16, -100, -95));
 }
 
 TEST(Events, ZeroTttFiresImmediately) {
   rm::EventConfig a3{rm::EventType::kA3, 0, 0, 3.0, 0, 0};
-  rm::EventMonitor mon(a3);
-  EXPECT_TRUE(mon.update(0.0, -100, -95));
+  rm::TriggerState st;
+  EXPECT_TRUE(rm::update_trigger(a3, st, 0.0, -100, -95));
 }
 
 // ---------- Policy ----------

@@ -147,6 +147,102 @@ TEST(RadioEnv, BestCellPicksNearest) {
   EXPECT_GE(hits * 10, trials * 7);  // >= 70% despite shadowing
 }
 
+TEST(RadioEnv, SampleFromMeanMatchesThreeCallSequence) {
+  // The engine computes each cell's mean once per UE-tick from one
+  // TrackPoint, then draws fading, then the DD residual. That must equal,
+  // bit for bit, the per-call API on a twin-seeded stream, and the
+  // closed-form draws: mean + N(0, fading), snr(mean + N(0, dd residual)).
+  const std::vector<rs::HoleSegment> holes = {{2000.0, 300.0},
+                                              {7000.0, 150.0}};
+  const auto env = small_env(12, holes);
+  const auto& cfg = env.config();
+  std::vector<double> positions = {-250.0, 0.0, 2000.0, 2150.0, 2299.9,
+                                   2300.0, 7075.0, 1e6};  // both ends clamp
+  rem::common::Rng pick(13);
+  for (int i = 0; i < 200; ++i) positions.push_back(pick.uniform(-1e3, 2e4));
+  rem::common::Rng a(14), b(14), c(14);
+  for (const double x : positions) {
+    const auto at = env.track_point(x);
+    EXPECT_EQ(at.in_hole, env.position_in_hole(x)) << x;
+    for (std::size_t i = 0; i < env.cells().size(); ++i) {
+      const double mean = env.mean_rsrp_dbm(i, at);
+      ASSERT_EQ(mean, env.mean_rsrp_dbm(i, x)) << "cell " << i << " x " << x;
+      const double rsrp = env.faded_rsrp_dbm(mean, a);
+      const double dd = env.dd_snr_from_mean_db(mean, a);
+      ASSERT_EQ(rsrp, env.instant_rsrp_dbm(i, x, b)) << x;
+      ASSERT_EQ(dd, env.dd_snr_db(i, x, b)) << x;
+      ASSERT_EQ(rsrp, mean + c.gaussian(0.0, cfg.fading_sigma_db));
+      ASSERT_EQ(dd, env.snr_db_from_rsrp(
+                        mean + c.gaussian(0.0, cfg.dd_residual_sigma_db)));
+    }
+  }
+  // Inside a hole every cell sits 45 dB below the same position's
+  // hole-free level.
+  const auto hole_free = small_env(12);
+  EXPECT_NEAR(env.mean_rsrp_dbm(0, 2150.0),
+              hole_free.mean_rsrp_dbm(0, 2150.0) - cfg.hole_extra_loss_db,
+              1e-9);
+}
+
+TEST(RadioEnv, MeanRsrpMatchesClosedForm) {
+  // Shadowing made negligible, so the mean is the log-distance formula:
+  // tx - (ref + 10 n log10(d) + 20 log10(f / 2 GHz) [+ hole]),
+  // d = max(sqrt(dx^2 + offset^2), 1).
+  rs::PropagationConfig pc;
+  pc.shadowing_sigma_db = 1e-9;
+  pc.per_cell_shadow_sigma_db = 1e-9;
+  rs::Cell flat;  // 2 GHz: no carrier term
+  flat.id = {0, 0, 1};
+  flat.site_pos_m = 1000.0;
+  flat.site_offset_m = 0.0;
+  rs::Cell high = flat;
+  high.id = {1, 1, 2};
+  high.site_offset_m = 100.0;
+  high.carrier_hz = 2.36e9;
+  const rs::RadioEnv env({flat, high}, pc, rem::common::Rng(15),
+                         {{3000.0, 100.0}});
+  // 46 dBm - 34 dB at d = 1 m (clamped), 46 - 34 - 35 * 3 at 1 km.
+  EXPECT_NEAR(env.mean_rsrp_dbm(0, 1000.0), 12.0, 1e-6);
+  EXPECT_NEAR(env.mean_rsrp_dbm(0, 1000.3), 12.0, 1e-6);
+  EXPECT_NEAR(env.mean_rsrp_dbm(0, 2000.0), -93.0, 1e-6);
+  EXPECT_NEAR(env.mean_rsrp_dbm(0, 0.0), -93.0, 1e-6);
+  EXPECT_NEAR(env.mean_rsrp_dbm(0, 3050.0),
+              46.0 - 34.0 - 35.0 * std::log10(2050.0) - 45.0, 1e-6);
+  // 100 m lateral offset and the 2.36 GHz carrier term.
+  EXPECT_NEAR(env.mean_rsrp_dbm(1, 1000.0),
+              46.0 - 34.0 - 35.0 * 2.0 - 20.0 * std::log10(1.18), 1e-6);
+  EXPECT_NEAR(env.mean_rsrp_dbm(1, 1000.0 + 100.0 * std::sqrt(99.0)),
+              46.0 - 34.0 - 35.0 * 3.0 - 20.0 * std::log10(1.18), 1e-6);
+
+  // With real shadowing, mean minus the closed form is the shadowing:
+  // linear between the 10 m grid samples, and clamped to the first and
+  // last sample off either end of the track (last site + 5 km).
+  const rs::RadioEnv shadowed({flat, high}, rs::PropagationConfig{},
+                              rem::common::Rng(16));
+  const auto shadow_db = [&](std::size_t i, double x) {
+    const auto& c = i == 0 ? flat : high;
+    const double dx = x - c.site_pos_m;
+    const double d =
+        std::max(std::sqrt(dx * dx + c.site_offset_m * c.site_offset_m), 1.0);
+    const double pl = 34.0 + 35.0 * std::log10(d) +
+                      20.0 * std::log10(c.carrier_hz / 2.0e9);
+    return shadowed.mean_rsrp_dbm(i, x) - (46.0 - pl);
+  };
+  for (std::size_t i = 0; i < 2; ++i) {
+    for (const double x0 : {0.0, 990.0, 2500.0, 5990.0}) {
+      EXPECT_NEAR(shadow_db(i, x0 + 5.0),
+                  0.5 * (shadow_db(i, x0) + shadow_db(i, x0 + 10.0)), 1e-9)
+          << "cell " << i << " x " << x0;
+      EXPECT_NEAR(shadow_db(i, x0 + 2.5),
+                  0.75 * shadow_db(i, x0) + 0.25 * shadow_db(i, x0 + 10.0),
+                  1e-9);
+    }
+    EXPECT_NEAR(shadow_db(i, -300.0), shadow_db(i, 0.0), 1e-9);
+    EXPECT_NEAR(shadow_db(i, 1e6), shadow_db(i, 6010.0), 1e-9);
+    EXPECT_GT(std::abs(shadow_db(i, 6010.0) - shadow_db(i, 6000.0)), 0.0);
+  }
+}
+
 // ---------- TCP model ----------
 
 TEST(Tcp, StallAtLeastOutage) {
