@@ -48,85 +48,7 @@
 
 namespace {
 
-using rem::sim::FaultConfig;
 using rem::sim::FaultKind;
-using rem::sim::FaultWindow;
-
-/// Periodic scripted windows: one fault class, `period_s` apart.
-FaultConfig periodic(FaultKind kind, double first_s, double period_s,
-                     double duration_s, double magnitude, double horizon_s) {
-  FaultConfig cfg;
-  for (double t = first_s; t < horizon_s; t += period_s)
-    cfg.windows.push_back({kind, t, duration_s, magnitude});
-  return cfg;
-}
-
-struct ManagerMetrics {
-  int handovers = 0;
-  int failures = 0;
-  double failure_ratio = 0.0;
-  double mean_recovery_s = 0.0;  ///< mean outage duration (RLF -> camp)
-  double p95_recovery_s = 0.0;
-  double downtime_fraction = 0.0;
-  int report_retransmits = 0;
-  int t304_expiries = 0;
-  int t304_fallback_success = 0;
-  int duplicate_commands = 0;
-  int degraded_enters = 0;
-  double degraded_time_s = 0.0;
-  // Backhaul preparation accounting (zero when the transport is disabled).
-  int prep_requests = 0;
-  int prep_retries = 0;
-  int prep_acks = 0;
-  int prep_rejects = 0;
-  int prep_fallbacks = 0;
-  int prep_failures = 0;
-  int context_fetch_failures = 0;
-  double mean_prep_rtt_s = 0.0;
-  std::uint64_t backhaul_sent = 0;
-  std::uint64_t backhaul_delivered = 0;
-  std::uint64_t backhaul_dropped = 0;  ///< loss + partition + queue
-  // BS capacity / crash accounting (zero when the model is disabled).
-  int bs_jobs_submitted = 0;
-  int bs_jobs_served = 0;
-  int bs_queue_shed = 0;
-  int bs_jobs_flushed = 0;
-  int admission_rejects = 0;
-  int admission_backoff_retries = 0;
-  int bs_crashes = 0;
-  int bs_crash_dropped_msgs = 0;
-  int stale_context_responses = 0;
-  double mean_bs_queue_wait_s = 0.0;
-  /// Worst gap from a BS crash opening to the first subsequent
-  /// re-establishment or completed handover (whichever comes first);
-  /// covers the crash window itself plus post-restart re-attachment.
-  double max_crash_recovery_s = 0.0;
-  // Correlated-fault / cascade-resilience accounting (zero unless the
-  // scenario schedules region_outage / cascade_overload or arms the
-  // resilience knobs).
-  int cascade_activations = 0;
-  int cascade_jobs_injected = 0;
-  int breaker_trips = 0;
-  int breaker_probes = 0;
-  int breaker_closes = 0;
-  int breaker_skips = 0;
-  int load_ads_received = 0;
-  int storm_jitter_applied = 0;
-  int loop_episodes = 0;
-  int loop_handovers = 0;
-  /// Worst RLF-to-re-establishment gap across every UE's own event stream
-  /// (an outage still open at the horizon counts the full remainder) —
-  /// the fleet-safe service-recovery bound, unlike max_crash_recovery_s
-  /// which pairs a crash with the *next* mobility event and so only means
-  /// something in single-UE logs.
-  double max_outage_s = 0.0;
-};
-
-struct ClassResult {
-  std::string name;
-  std::size_t windows = 0;
-  ManagerMetrics legacy, rem;
-};
 
 /// Worst crash-to-recovery gap in one run's event log: for every kBsCrash
 /// the first later kReestablished/kHandoverComplete closes the gap; a
@@ -171,161 +93,91 @@ double worst_outage_s(const rem::sim::EventLog& events, double horizon_s) {
   return worst;
 }
 
-ManagerMetrics fold(const std::vector<rem::sim::SimStats>& runs,
-                    double horizon_s) {
-  ManagerMetrics m;
-  rem::common::Summary recovery;
-  for (const auto& s : runs) {
-    m.handovers += s.handovers;
-    m.failures += s.failures;
-    recovery.add_all(s.outage_durations_s);
-    m.downtime_fraction += s.downtime_fraction / runs.size();
-    m.report_retransmits += s.report_retransmits;
-    m.t304_expiries += s.t304_expiries;
-    m.t304_fallback_success += s.t304_fallback_success;
-    m.duplicate_commands += s.duplicate_commands;
-    m.degraded_enters += s.degraded_enters;
-    m.degraded_time_s += s.degraded_time_s;
-    m.prep_requests += s.prep_requests;
-    m.prep_retries += s.prep_retries;
-    m.prep_acks += s.prep_acks;
-    m.prep_rejects += s.prep_rejects;
-    m.prep_fallbacks += s.prep_fallbacks;
-    m.prep_failures += s.prep_failures;
-    m.context_fetch_failures += s.context_fetch_failures;
-    m.mean_prep_rtt_s += s.prep_rtt_sum_s;  // normalized below
-    m.backhaul_sent += s.backhaul_sent;
-    m.backhaul_delivered += s.backhaul_delivered;
-    m.backhaul_dropped += s.backhaul_dropped_loss +
-                          s.backhaul_dropped_partition +
-                          s.backhaul_dropped_queue;
-    m.bs_jobs_submitted += s.bs_jobs_submitted;
-    m.bs_jobs_served += s.bs_jobs_served;
-    m.bs_queue_shed += s.bs_queue_shed;
-    m.bs_jobs_flushed += s.bs_jobs_flushed;
-    m.admission_rejects += s.admission_rejects;
-    m.admission_backoff_retries += s.admission_backoff_retries;
-    m.bs_crashes += s.bs_crashes;
-    m.bs_crash_dropped_msgs += s.bs_crash_dropped_msgs;
-    m.stale_context_responses += s.stale_context_responses;
-    m.mean_bs_queue_wait_s += s.bs_queue_wait_sum_s;  // normalized below
-    m.max_crash_recovery_s = std::max(
-        m.max_crash_recovery_s, worst_crash_recovery_s(s.events, horizon_s));
-    m.cascade_activations += s.cascade_activations;
-    m.cascade_jobs_injected += s.cascade_jobs_injected;
-    m.breaker_trips += s.breaker_trips;
-    m.breaker_probes += s.breaker_probes;
-    m.breaker_closes += s.breaker_closes;
-    m.breaker_skips += s.breaker_skips;
-    m.load_ads_received += s.load_ads_received;
-    m.storm_jitter_applied += s.storm_jitter_applied;
-    m.loop_episodes += s.loop_episodes;
-    m.loop_handovers += s.loop_handovers;
-    m.max_outage_s =
-        std::max(m.max_outage_s, worst_outage_s(s.events, horizon_s));
+/// One manager's runs in one sweep section, folded by AggregateStats, plus
+/// the two recovery bounds that need each run's event log (empty, so 0,
+/// when the section records no events).
+struct SweepStats : rem::bench::AggregateStats {
+  /// Worst gap from a BS crash opening to the first subsequent
+  /// re-establishment or completed handover; only meaningful in
+  /// single-UE logs.
+  double max_crash_recovery_s = 0.0;
+  /// Worst per-UE RLF-to-re-establishment gap: the fleet-safe
+  /// service-recovery bound.
+  double max_outage_s = 0.0;
+
+  void add(const rem::sim::SimStats& s, double horizon_s) {
+    AggregateStats::add(s);
+    max_crash_recovery_s = std::max(
+        max_crash_recovery_s, worst_crash_recovery_s(s.events, horizon_s));
+    max_outage_s = std::max(max_outage_s, worst_outage_s(s.events, horizon_s));
   }
-  const int den = m.handovers + m.failures;
-  m.failure_ratio = den > 0 ? static_cast<double>(m.failures) / den : 0.0;
-  if (recovery.count() > 0) {
-    m.mean_recovery_s = recovery.mean();
-    m.p95_recovery_s = recovery.percentile(95.0);
+  rem::common::Summary recovery_s() const {
+    rem::common::Summary r;
+    r.add_all(outage_durations_s);
+    return r;
   }
-  m.mean_prep_rtt_s = m.prep_acks > 0 ? m.mean_prep_rtt_s / m.prep_acks : 0.0;
-  m.mean_bs_queue_wait_s =
-      m.bs_jobs_served > 0 ? m.mean_bs_queue_wait_s / m.bs_jobs_served : 0.0;
-  return m;
+};
+
+/// One entry of the sweep: both managers over every seed of one scenario.
+struct Section {
+  std::string name;
+  /// The entry's own JSON keys, written before the manager blocks.
+  std::string head;
+  std::size_t windows = 0;
+  std::set<FaultKind> kinds;  ///< kinds of the scheduled windows
+  SweepStats legacy, rem;
+};
+
+/// A manager block: the kStatsTable rows plus the chaos-only derived keys
+/// (failure_ratio here is SimStats::failure_ratio()).
+void write_manager(std::ostream& js, const SweepStats& m,
+                   const SweepStats& base) {
+  const auto rec = m.recovery_s();
+  rem::bench::write_stats_json(
+      js, m, m.failure_ratio(),
+      {{"delta_failure_ratio", m.failure_ratio() - base.failure_ratio()},
+       {"mean_recovery_s", rec.mean()},
+       {"delta_mean_recovery_s", rec.mean() - base.recovery_s().mean()},
+       {"p95_recovery_s", rec.empty() ? 0.0 : rec.percentile(95.0)},
+       {"mean_prep_rtt_s",
+        m.prep_acks > 0 ? m.prep_rtt_sum_s / m.prep_acks : 0.0},
+       {"mean_bs_queue_wait_s",
+        m.bs_jobs_served > 0 ? m.bs_queue_wait_sum_s / m.bs_jobs_served
+                             : 0.0},
+       {"max_crash_recovery_s", m.max_crash_recovery_s},
+       {"max_outage_s", m.max_outage_s}});
 }
 
-void print_metrics(const char* label, const ManagerMetrics& m,
-                   const ManagerMetrics& base) {
-  std::printf(
-      "  %-7s failure %5.1f%% (base %4.1f%%)  recovery mean %5.2f s "
-      "p95 %5.2f s  downtime %5.2f%%  rtx %3d  t304 %2d (fb %2d)  dup %2d  "
-      "degraded %5.1f s (%d)\n",
-      label, 100.0 * m.failure_ratio, 100.0 * base.failure_ratio,
-      m.mean_recovery_s, m.p95_recovery_s, 100.0 * m.downtime_fraction,
-      m.report_retransmits, m.t304_expiries, m.t304_fallback_success,
-      m.duplicate_commands, m.degraded_time_s, m.degraded_enters);
-  if (m.prep_requests > 0)
-    std::printf(
-        "          prep %4d req %3d retry %4d ack %2d rej %2d fb %2d fail  "
-        "rtt %4.1f ms  ctx-fail %d  frames %llu/%llu (drop %llu)\n",
-        m.prep_requests, m.prep_retries, m.prep_acks, m.prep_rejects,
-        m.prep_fallbacks, m.prep_failures, 1e3 * m.mean_prep_rtt_s,
-        m.context_fetch_failures,
-        static_cast<unsigned long long>(m.backhaul_delivered),
-        static_cast<unsigned long long>(m.backhaul_sent),
-        static_cast<unsigned long long>(m.backhaul_dropped));
-  if (m.bs_jobs_submitted > 0 || m.bs_crashes > 0)
-    std::printf(
-        "          bs %5d jobs %4d shed %3d flushed  wait %5.1f ms  "
-        "adm-rej %3d (retry %3d)  crash %2d (drop %3d, stale-ctx %2d)  "
-        "crash-recovery %4.1f s\n",
-        m.bs_jobs_submitted, m.bs_queue_shed, m.bs_jobs_flushed,
-        1e3 * m.mean_bs_queue_wait_s, m.admission_rejects,
-        m.admission_backoff_retries, m.bs_crashes, m.bs_crash_dropped_msgs,
-        m.stale_context_responses, m.max_crash_recovery_s);
-  if (m.cascade_activations > 0 || m.breaker_trips > 0 ||
-      m.load_ads_received > 0 || m.storm_jitter_applied > 0)
-    std::printf(
-        "          cascade %3d inj (%4d jobs)  breaker %3d trip %3d probe "
-        "%3d close %4d skip  load-ads %5d  jitter %4d  loops %d ep / %d ho  "
-        "outage max %5.2f s\n",
-        m.cascade_activations, m.cascade_jobs_injected, m.breaker_trips,
-        m.breaker_probes, m.breaker_closes, m.breaker_skips,
-        m.load_ads_received, m.storm_jitter_applied, m.loop_episodes,
-        m.loop_handovers, m.max_outage_s);
+void write_section(std::ostream& js, const Section& r, const Section& base) {
+  js << "{" << r.head << "\"legacy\": ";
+  write_manager(js, r.legacy, base.legacy);
+  js << ", \"rem\": ";
+  write_manager(js, r.rem, base.rem);
+  js << "}";
 }
 
-void write_metrics_json(std::ofstream& js, const ManagerMetrics& m,
-                        const ManagerMetrics& base) {
-  js << "{\"handovers\": " << m.handovers << ", \"failures\": " << m.failures
-     << ", \"failure_ratio\": " << m.failure_ratio
-     << ", \"delta_failure_ratio\": " << m.failure_ratio - base.failure_ratio
-     << ", \"mean_recovery_s\": " << m.mean_recovery_s
-     << ", \"delta_mean_recovery_s\": "
-     << m.mean_recovery_s - base.mean_recovery_s
-     << ", \"p95_recovery_s\": " << m.p95_recovery_s
-     << ", \"downtime_fraction\": " << m.downtime_fraction
-     << ", \"report_retransmits\": " << m.report_retransmits
-     << ", \"t304_expiries\": " << m.t304_expiries
-     << ", \"t304_fallback_success\": " << m.t304_fallback_success
-     << ", \"duplicate_commands\": " << m.duplicate_commands
-     << ", \"degraded_enters\": " << m.degraded_enters
-     << ", \"degraded_time_s\": " << m.degraded_time_s
-     << ", \"prep_requests\": " << m.prep_requests
-     << ", \"prep_retries\": " << m.prep_retries
-     << ", \"prep_acks\": " << m.prep_acks
-     << ", \"prep_rejects\": " << m.prep_rejects
-     << ", \"prep_fallbacks\": " << m.prep_fallbacks
-     << ", \"prep_failures\": " << m.prep_failures
-     << ", \"context_fetch_failures\": " << m.context_fetch_failures
-     << ", \"mean_prep_rtt_s\": " << m.mean_prep_rtt_s
-     << ", \"backhaul_sent\": " << m.backhaul_sent
-     << ", \"backhaul_delivered\": " << m.backhaul_delivered
-     << ", \"backhaul_dropped\": " << m.backhaul_dropped
-     << ", \"bs_jobs_submitted\": " << m.bs_jobs_submitted
-     << ", \"bs_jobs_served\": " << m.bs_jobs_served
-     << ", \"bs_queue_shed\": " << m.bs_queue_shed
-     << ", \"bs_jobs_flushed\": " << m.bs_jobs_flushed
-     << ", \"mean_bs_queue_wait_s\": " << m.mean_bs_queue_wait_s
-     << ", \"admission_rejects\": " << m.admission_rejects
-     << ", \"admission_backoff_retries\": " << m.admission_backoff_retries
-     << ", \"bs_crashes\": " << m.bs_crashes
-     << ", \"bs_crash_dropped_msgs\": " << m.bs_crash_dropped_msgs
-     << ", \"stale_context_responses\": " << m.stale_context_responses
-     << ", \"max_crash_recovery_s\": " << m.max_crash_recovery_s
-     << ", \"cascade_activations\": " << m.cascade_activations
-     << ", \"cascade_jobs_injected\": " << m.cascade_jobs_injected
-     << ", \"breaker_trips\": " << m.breaker_trips
-     << ", \"breaker_probes\": " << m.breaker_probes
-     << ", \"breaker_closes\": " << m.breaker_closes
-     << ", \"breaker_skips\": " << m.breaker_skips
-     << ", \"load_ads_received\": " << m.load_ads_received
-     << ", \"storm_jitter_applied\": " << m.storm_jitter_applied
-     << ", \"loop_episodes\": " << m.loop_episodes
-     << ", \"loop_handovers\": " << m.loop_handovers
-     << ", \"max_outage_s\": " << m.max_outage_s << "}";
+void print_section(const char* group, const Section& r,
+                   const Section& base) {
+  std::printf("%-9s %-22s %2zu windows | legacy %5.1f%% (base %4.1f%%) | REM "
+              "%5.1f%% (base %4.1f%%)\n",
+              group, r.name.c_str(), r.windows,
+              100.0 * r.legacy.failure_ratio(),
+              100.0 * base.legacy.failure_ratio(),
+              100.0 * r.rem.failure_ratio(), 100.0 * base.rem.failure_ratio());
+}
+
+/// Writes one group of sections to the JSON and its summary to stdout.
+void write_group(std::ostream& js, const char* group,
+                 const std::vector<Section>& sections, const Section& base,
+                 bool last) {
+  js << "  \"" << group << "\": {\n";
+  for (std::size_t i = 0; i < sections.size(); ++i) {
+    js << "    \"" << sections[i].name << "\": ";
+    write_section(js, sections[i], base);
+    print_section(group, sections[i], base);
+    js << (i + 1 < sections.size() ? "," : "") << "\n";
+  }
+  js << "  }" << (last ? "" : ",") << "\n";
 }
 
 }  // namespace
@@ -406,77 +258,83 @@ int main(int argc, char** argv) {
   std::ofstream trace_js(trace_path);
   rem::obs::MetricsSnapshot metrics;
 
-  // Both managers per seed through bench::run_seed with events recorded
-  // and a span tracer on every run: the tracer's metrics merge into
-  // `metrics` and its spans append to the trace file stamped with fault
-  // class, seed and manager.
-  const auto run_config = [&](const std::string& fault_label,
-                              const FaultConfig& faults, ManagerMetrics& lg,
-                              ManagerMetrics& rm) {
-    auto sc = rem::trace::make_scenario(route, speed_kmh, duration_s);
-    sc.sim.faults = faults;
-    sc.sim.record_events = true;
-    std::vector<rem::sim::SimStats> legacy_runs, rem_runs;
+  // Both managers over every seed of `sc`, folded in seed order. A fleet
+  // section runs bench::run_fleet_scenario (one InvariantChecker per UE,
+  // no tracer); any other runs bench::run_seed with a span tracer, whose
+  // metrics merge into `metrics` and whose spans append to the trace file
+  // stamped with section, seed and manager.
+  const auto run_section = [&](const std::string& name,
+                               const rem::trace::Scenario& sc, bool fleet) {
+    Section r;
+    r.name = name;
+    r.windows = sc.sim.faults.windows.size();
+    r.head = "\"windows\": " + std::to_string(r.windows) + ", ";
+    for (const auto& w : sc.sim.faults.windows) r.kinds.insert(w.kind);
+    const double horizon = sc.sim.duration_s;
     for (const auto seed : seeds) {
-      const std::string stamp = "\"fault\": \"" + fault_label +
-                                "\", \"seed\": \"" + std::to_string(seed) +
-                                "\"";
       rem::bench::RunOptions opts;
+      opts.context = "chaos " + name + ", seed " + std::to_string(seed);
+      if (fleet) {
+        r.legacy.add(rem::bench::run_fleet_scenario(
+                         sc, seed, rem::bench::Manager::kLegacy, bler, opts)
+                         .aggregate,
+                     horizon);
+        r.rem.add(rem::bench::run_fleet_scenario(
+                      sc, seed, rem::bench::Manager::kRem, bler, opts)
+                      .aggregate,
+                  horizon);
+        continue;
+      }
+      const std::string stamp = "\"fault\": \"" + name + "\", \"seed\": \"" +
+                                std::to_string(seed) + "\"";
       opts.collect_metrics = true;
-      opts.context = "fault " + fault_label + ", seed " + std::to_string(seed);
       opts.trace_sink = [&](const std::string& manager,
                             const rem::obs::SpanTracer& tracer) {
         tracer.write_trace_jsonl(
             trace_js, stamp + ", \"manager\": \"" + manager + "\"");
       };
-      auto r = rem::bench::run_seed(sc, seed, /*run_rem=*/true, bler, opts);
-      metrics.merge(r.legacy_metrics);
-      metrics.merge(r.rem_metrics);
-      legacy_runs.push_back(std::move(r.legacy));
-      rem_runs.push_back(std::move(r.rem));
+      const auto s = rem::bench::run_seed(sc, seed, /*run_rem=*/true, bler,
+                                          opts);
+      metrics.merge(s.legacy_metrics);
+      metrics.merge(s.rem_metrics);
+      r.legacy.add(s.legacy, horizon);
+      r.rem.add(s.rem, horizon);
     }
-    lg = fold(legacy_runs, duration_s);
-    rm = fold(rem_runs, duration_s);
+    return r;
+  };
+  // The single-UE sweep scenario under `faults`, events recorded.
+  const auto radio_scenario = [&](const rem::sim::FaultConfig& faults) {
+    auto sc = rem::trace::make_scenario(route, speed_kmh, duration_s);
+    sc.sim.faults = faults;
+    sc.sim.record_events = true;
+    return sc;
   };
 
   std::printf("chaos sweep: %s, %.0f km/h, %.0f s x %zu seeds%s\n",
               rem::trace::route_name(route).c_str(), speed_kmh, duration_s,
               seeds.size(), smoke ? " [smoke]" : "");
 
-  ManagerMetrics base_legacy, base_rem;
-  run_config("baseline", {}, base_legacy, base_rem);
-  std::printf("baseline (no faults)\n");
-  print_metrics("legacy", base_legacy, base_legacy);
-  print_metrics("REM", base_rem, base_rem);
+  Section base = run_section("baseline", radio_scenario({}), false);
+  base.head.clear();
 
-  std::vector<ClassResult> results;
+  std::vector<Section> results;
   for (const auto& c : classes) {
-    const auto faults = periodic(c.kind, c.first_s, c.period_s, c.duration_s,
-                                 c.magnitude, duration_s);
-    ClassResult r;
-    r.name = rem::sim::fault_kind_name(c.kind);
-    r.windows = faults.windows.size();
-    run_config(r.name, faults, r.legacy, r.rem);
-    std::printf("%s (%zu windows of %.0f s, magnitude %g)\n", r.name.c_str(),
-                r.windows, c.duration_s, c.magnitude);
-    print_metrics("legacy", r.legacy, base_legacy);
-    print_metrics("REM", r.rem, base_rem);
-    results.push_back(std::move(r));
+    results.push_back(run_section(
+        rem::sim::fault_kind_name(c.kind),
+        radio_scenario(rem::bench::periodic(c.kind, c.first_s, c.period_s,
+                                            c.duration_s, c.magnitude,
+                                            duration_s)),
+        false));
   }
 
-  std::vector<ClassResult> backhaul_results;
+  std::vector<Section> backhaul_results;
   for (const auto& c : backhaul_classes) {
-    const auto faults = periodic(c.kind, c.first_s, c.period_s, c.duration_s,
-                                 c.magnitude, duration_s);
-    ClassResult r;
-    r.name = c.label;
-    r.windows = faults.windows.size();
-    run_config(r.name, faults, r.legacy, r.rem);
-    std::printf("%s (%zu windows of %.1f s, magnitude %g)\n", r.name.c_str(),
-                r.windows, c.duration_s, c.magnitude);
-    print_metrics("legacy", r.legacy, base_legacy);
-    print_metrics("REM", r.rem, base_rem);
-    backhaul_results.push_back(std::move(r));
+    backhaul_results.push_back(run_section(
+        c.label,
+        radio_scenario(rem::bench::periodic(c.kind, c.first_s, c.period_s,
+                                            c.duration_s, c.magnitude,
+                                            duration_s)),
+        false));
   }
 
   // Fleet sweep: N UEs genuinely contending for BS slots and backhaul
@@ -487,34 +345,18 @@ int main(int argc, char** argv) {
   // throws on violations); per-seed aggregates fold in seed order, so the
   // section is deterministic at any thread count.
   const int fleet_size = smoke ? 6 : 12;
-  const auto fleet_spec =
-      rem::scenario::load_scenario(REM_SCENARIO_DIR, "rail_overload_fleet");
   rem::scenario::CompileOverrides fleet_ov;
   fleet_ov.duration_s = duration_s;
   fleet_ov.ue_count = fleet_size;
-  const auto fleet_compiled = rem::scenario::compile(fleet_spec, fleet_ov);
-  ManagerMetrics fleet_legacy, fleet_rem;
-  {
-    std::vector<rem::sim::SimStats> lg_runs, rm_runs;
-    for (const auto seed : seeds) {
-      rem::bench::RunOptions fopts;
-      fopts.context = "chaos fleet scenario 'rail_overload_fleet', seed " +
-                      std::to_string(seed);
-      lg_runs.push_back(rem::bench::run_fleet_scenario(
-                            fleet_compiled.scenario, seed,
-                            rem::bench::Manager::kLegacy, bler, fopts)
-                            .aggregate);
-      rm_runs.push_back(rem::bench::run_fleet_scenario(
-                            fleet_compiled.scenario, seed,
-                            rem::bench::Manager::kRem, bler, fopts)
-                            .aggregate);
-    }
-    fleet_legacy = fold(lg_runs, duration_s);
-    fleet_rem = fold(rm_runs, duration_s);
-  }
-  std::printf("fleet bs_overload (%d UEs)\n", fleet_size);
-  print_metrics("legacy", fleet_legacy, base_legacy);
-  print_metrics("REM", fleet_rem, base_rem);
+  const auto fleet_compiled = rem::scenario::compile(
+      rem::scenario::load_scenario(REM_SCENARIO_DIR, "rail_overload_fleet"),
+      fleet_ov);
+  std::vector<Section> fleet_results = {
+      run_section("bs_overload", fleet_compiled.scenario, true)};
+  Section& fleet = fleet_results.front();
+  fleet.head = "\"scenario\": \"" + fleet_compiled.name +
+               "\", \"fleet_size\": " + std::to_string(fleet_size) + ", " +
+               fleet.head;
 
   // Cascade section: the two correlated-fault library scenarios —
   // rail_region_outage (staggered domain blackouts with load ads,
@@ -525,55 +367,18 @@ int main(int argc, char** argv) {
   // staleness violation, so those invariants are machine-checked on every
   // bench run). Events stay recorded so the per-UE outage bound below is
   // computable on the merged logs.
-  struct CascadeResult {
-    std::string name;
-    int fleet_size = 0;
-    std::size_t windows = 0;
-    bool region_outage = false;
-    bool cascade_overload = false;
-    ManagerMetrics legacy, rem;
-  };
-  std::vector<CascadeResult> cascade_results;
-  std::set<int> cascade_kinds;
-  for (const char* scen_cstr : {"rail_region_outage", "dense_cascade_storm"}) {
-    const std::string scen_name = scen_cstr;
-    const auto spec =
-        rem::scenario::load_scenario(REM_SCENARIO_DIR, scen_name);
+  std::vector<Section> cascade_results;
+  for (const char* scen_name : {"rail_region_outage", "dense_cascade_storm"}) {
     rem::scenario::CompileOverrides ov;
     if (smoke) ov.duration_s = duration_s;  // shrink to the smoke horizon
-    const auto compiled = rem::scenario::compile(spec, ov);
-    auto sc = compiled.scenario;
+    auto sc = rem::scenario::compile(
+                  rem::scenario::load_scenario(REM_SCENARIO_DIR, scen_name), ov)
+                  .scenario;
     sc.sim.record_events = true;
-    const double horizon = sc.sim.duration_s;
-    CascadeResult r;
-    r.name = scen_name;
-    r.fleet_size = sc.sim.fleet_size;
-    r.windows = sc.sim.faults.windows.size();
-    for (const auto& w : sc.sim.faults.windows) {
-      cascade_kinds.insert(static_cast<int>(w.kind));
-      if (w.kind == FaultKind::kRegionOutage) r.region_outage = true;
-      if (w.kind == FaultKind::kCascadeOverload) r.cascade_overload = true;
-    }
-    std::vector<rem::sim::SimStats> lg_runs, rm_runs;
-    for (const auto seed : seeds) {
-      rem::bench::RunOptions fopts;
-      fopts.context = "chaos cascade scenario '" + scen_name + "', seed " +
-                      std::to_string(seed);
-      lg_runs.push_back(rem::bench::run_fleet_scenario(
-                            sc, seed, rem::bench::Manager::kLegacy, bler,
-                            fopts)
-                            .aggregate);
-      rm_runs.push_back(rem::bench::run_fleet_scenario(
-                            sc, seed, rem::bench::Manager::kRem, bler, fopts)
-                            .aggregate);
-    }
-    r.legacy = fold(lg_runs, horizon);
-    r.rem = fold(rm_runs, horizon);
-    std::printf("cascade %s (%d UEs, %zu windows, %.0f s)\n",
-                r.name.c_str(), r.fleet_size, r.windows, horizon);
-    print_metrics("legacy", r.legacy, base_legacy);
-    print_metrics("REM", r.rem, base_rem);
-    cascade_results.push_back(std::move(r));
+    cascade_results.push_back(run_section(scen_name, sc, true));
+    Section& r = cascade_results.back();
+    r.head = "\"fleet_size\": " + std::to_string(sc.sim.fleet_size) + ", " +
+             r.head;
   }
 
   std::ofstream js(out_path);
@@ -583,54 +388,14 @@ int main(int argc, char** argv) {
   js << "  \"duration_s\": " << duration_s << ",\n";
   js << "  \"seeds\": " << seeds.size() << ",\n";
   js << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n";
-  js << "  \"baseline\": {\"legacy\": ";
-  write_metrics_json(js, base_legacy, base_legacy);
-  js << ", \"rem\": ";
-  write_metrics_json(js, base_rem, base_rem);
-  js << "},\n";
-  js << "  \"faults\": {\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& r = results[i];
-    js << "    \"" << r.name << "\": {\"windows\": " << r.windows
-       << ", \"legacy\": ";
-    write_metrics_json(js, r.legacy, base_legacy);
-    js << ", \"rem\": ";
-    write_metrics_json(js, r.rem, base_rem);
-    js << "}" << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  js << "  },\n";
-  js << "  \"backhaul\": {\n";
-  for (std::size_t i = 0; i < backhaul_results.size(); ++i) {
-    const auto& r = backhaul_results[i];
-    js << "    \"" << r.name << "\": {\"windows\": " << r.windows
-       << ", \"legacy\": ";
-    write_metrics_json(js, r.legacy, base_legacy);
-    js << ", \"rem\": ";
-    write_metrics_json(js, r.rem, base_rem);
-    js << "}" << (i + 1 < backhaul_results.size() ? "," : "") << "\n";
-  }
-  js << "  },\n";
-  js << "  \"fleet\": {\n";
-  js << "    \"bs_overload\": {\"scenario\": \"" << fleet_compiled.name
-     << "\", \"fleet_size\": " << fleet_size << ", \"windows\": "
-     << fleet_compiled.scenario.sim.faults.windows.size()
-     << ", \"legacy\": ";
-  write_metrics_json(js, fleet_legacy, base_legacy);
-  js << ", \"rem\": ";
-  write_metrics_json(js, fleet_rem, base_rem);
-  js << "}\n";
-  js << "  },\n";
-  js << "  \"cascade\": {\n";
-  for (std::size_t i = 0; i < cascade_results.size(); ++i) {
-    const auto& r = cascade_results[i];
-    js << "    \"" << r.name << "\": {\"fleet_size\": " << r.fleet_size
-       << ", \"windows\": " << r.windows << ", \"legacy\": ";
-    write_metrics_json(js, r.legacy, base_legacy);
-    js << ", \"rem\": ";
-    write_metrics_json(js, r.rem, base_rem);
-    js << "}" << (i + 1 < cascade_results.size() ? "," : "") << "\n";
-  }
-  js << "  }\n";
+  js << "  \"baseline\": ";
+  write_section(js, base, base);
+  print_section("baseline", base, base);
+  js << ",\n";
+  write_group(js, "faults", results, base, false);
+  write_group(js, "backhaul", backhaul_results, base, false);
+  write_group(js, "fleet", fleet_results, base, false);
+  write_group(js, "cascade", cascade_results, base, true);
   js << "}\n";
   rem::obs::write_metrics_json_file(metrics, metrics_path);
   trace_js.close();
@@ -666,20 +431,20 @@ int main(int argc, char** argv) {
                     r.name.c_str());
         ok = false;
       }
-      if (r.rem.failure_ratio > kMaxRemOverloadFailureRatio) {
+      if (r.rem.failure_ratio() > kMaxRemOverloadFailureRatio) {
         std::printf("FAIL: REM failure ratio %.2f%% under %s (max %.2f%%)\n",
-                    100.0 * r.rem.failure_ratio, r.name.c_str(),
+                    100.0 * r.rem.failure_ratio(), r.name.c_str(),
                     100.0 * kMaxRemOverloadFailureRatio);
         ok = false;
       }
-      if (!smoke && r.legacy.failure_ratio <
-                        base_legacy.failure_ratio +
+      if (!smoke && r.legacy.failure_ratio() <
+                        base.legacy.failure_ratio() +
                             kMinLegacyOverloadDegradation) {
         std::printf("FAIL: legacy failure ratio %.2f%% under %s did not "
                     "degrade >= %.0f points over baseline %.2f%%\n",
-                    100.0 * r.legacy.failure_ratio, r.name.c_str(),
+                    100.0 * r.legacy.failure_ratio(), r.name.c_str(),
                     100.0 * kMinLegacyOverloadDegradation,
-                    100.0 * base_legacy.failure_ratio);
+                    100.0 * base.legacy.failure_ratio());
         ok = false;
       }
       if (r.rem.admission_rejects + r.rem.admission_backoff_retries == 0) {
@@ -718,7 +483,8 @@ int main(int argc, char** argv) {
   for (const auto& c : classes) covered.insert(static_cast<int>(c.kind));
   for (const auto& c : backhaul_classes)
     covered.insert(static_cast<int>(c.kind));
-  covered.insert(cascade_kinds.begin(), cascade_kinds.end());
+  for (const auto& r : cascade_results)
+    for (const auto k : r.kinds) covered.insert(static_cast<int>(k));
   if (covered.size() != rem::sim::kNumFaultKinds) {
     std::printf("FAIL: chaos sweep covers %zu of %zu FaultKinds\n",
                 covered.size(), rem::sim::kNumFaultKinds);
@@ -760,7 +526,7 @@ int main(int argc, char** argv) {
                                r.name.rfind("backhaul_delay", 0) == 0;
     if (loss_or_delay && r.rem.failures > 0) {
       std::printf("FAIL: REM failure ratio %.2f%% under %s (expected 0)\n",
-                  100.0 * r.rem.failure_ratio, r.name.c_str());
+                  100.0 * r.rem.failure_ratio(), r.name.c_str());
       ok = false;
     }
     for (const auto* m : {&r.legacy, &r.rem}) {
@@ -785,19 +551,19 @@ int main(int argc, char** argv) {
       // the partitioned links (the only signal in short smoke horizons
       // where recovery masks the radio impact).
       const bool legacy_degraded =
-          r.legacy.failure_ratio > base_legacy.failure_ratio ||
+          r.legacy.failure_ratio() > base.legacy.failure_ratio() ||
           r.legacy.prep_failures + r.legacy.prep_fallbacks > 0;
       if (!legacy_degraded) {
         std::printf("FAIL: legacy did not degrade under %s (%.2f%% vs "
                     "baseline %.2f%%, no prep failures/fallbacks)\n",
-                    r.name.c_str(), 100.0 * r.legacy.failure_ratio,
-                    100.0 * base_legacy.failure_ratio);
+                    r.name.c_str(), 100.0 * r.legacy.failure_ratio(),
+                    100.0 * base.legacy.failure_ratio());
         ok = false;
       }
-      if (r.rem.downtime_fraction > 0.25) {
+      if (r.rem.downtime_fraction.mean() > 0.25) {
         std::printf("FAIL: REM downtime %.1f%% under %s (recovery not "
                     "bounded)\n",
-                    100.0 * r.rem.downtime_fraction, r.name.c_str());
+                    100.0 * r.rem.downtime_fraction.mean(), r.name.c_str());
         ok = false;
       }
     }
@@ -807,14 +573,14 @@ int main(int argc, char** argv) {
   // under BS overload, REM's client-driven decisions must keep the fleet
   // failure ratio strictly below legacy's — the paper's asymmetry must
   // survive contention, not just the single-UE benches.
-  if (!(fleet_rem.failure_ratio < fleet_legacy.failure_ratio)) {
+  if (!(fleet.rem.failure_ratio() < fleet.legacy.failure_ratio())) {
     std::printf("FAIL: fleet (%d UEs) REM failure ratio %.2f%% not strictly "
                 "below legacy %.2f%% under bs_overload\n",
-                fleet_size, 100.0 * fleet_rem.failure_ratio,
-                100.0 * fleet_legacy.failure_ratio);
+                fleet_size, 100.0 * fleet.rem.failure_ratio(),
+                100.0 * fleet.legacy.failure_ratio());
     ok = false;
   }
-  if (fleet_legacy.bs_queue_shed == 0) {
+  if (fleet.legacy.bs_queue_shed == 0) {
     std::printf("FAIL: legacy fleet never shed a BS job under overload "
                 "contention\n");
     ok = false;
@@ -832,17 +598,17 @@ int main(int argc, char** argv) {
   // breaker trips, load advertisements) — a cascade sweep that cannot
   // trigger its faults is rot.
   for (const auto& r : cascade_results) {
-    if (r.region_outage) {
+    if (r.kinds.count(FaultKind::kRegionOutage) > 0) {
       if (r.legacy.bs_crashes == 0 || r.rem.bs_crashes == 0) {
         std::printf("FAIL: %s never killed a BS (legacy %d, rem %d)\n",
                     r.name.c_str(), r.legacy.bs_crashes, r.rem.bs_crashes);
         ok = false;
       }
-      if (!(r.rem.failure_ratio < r.legacy.failure_ratio)) {
+      if (!(r.rem.failure_ratio() < r.legacy.failure_ratio())) {
         std::printf("FAIL: %s REM fleet failure ratio %.2f%% not strictly "
                     "below legacy %.2f%%\n",
-                    r.name.c_str(), 100.0 * r.rem.failure_ratio,
-                    100.0 * r.legacy.failure_ratio);
+                    r.name.c_str(), 100.0 * r.rem.failure_ratio(),
+                    100.0 * r.legacy.failure_ratio());
         ok = false;
       }
       if (r.rem.load_ads_received == 0) {
@@ -852,7 +618,7 @@ int main(int argc, char** argv) {
         ok = false;
       }
     }
-    if (r.cascade_overload) {
+    if (r.kinds.count(FaultKind::kCascadeOverload) > 0) {
       if (r.legacy.cascade_activations + r.rem.cascade_activations == 0 ||
           r.legacy.cascade_jobs_injected + r.rem.cascade_jobs_injected ==
               0) {

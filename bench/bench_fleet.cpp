@@ -35,10 +35,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #ifndef REM_SCENARIO_DIR
@@ -61,35 +63,12 @@ double extra_compression_for(const rem::scenario::ScenarioSpec& spec,
   return std::ceil(compiled / cap_s);
 }
 
-struct FleetMetrics {
-  int handovers = 0;
-  int failures = 0;
-  double failure_ratio = 0.0;
-  double downtime_fraction = 0.0;
-  int degraded_enters = 0;
-  int prep_failures = 0;
-  int bs_queue_shed = 0;
-  int admission_rejects = 0;
-  int bs_crashes = 0;
-  std::uint64_t backhaul_dropped = 0;
-};
-
-FleetMetrics summarize(const rem::sim::SimStats& s) {
-  FleetMetrics m;
-  m.handovers = s.handovers;
-  m.failures = s.failures;
-  m.failure_ratio =
-      s.handovers > 0 ? static_cast<double>(s.failures) / s.handovers
-                      : (s.failures > 0 ? 1.0 : 0.0);
-  m.downtime_fraction = s.downtime_fraction;
-  m.degraded_enters = s.degraded_enters;
-  m.prep_failures = s.prep_failures;
-  m.bs_queue_shed = s.bs_queue_shed;
-  m.admission_rejects = s.admission_rejects;
-  m.bs_crashes = s.bs_crashes;
-  m.backhaul_dropped = s.backhaul_dropped_loss + s.backhaul_dropped_partition +
-                       s.backhaul_dropped_queue;
-  return m;
+/// The fleet sweep's failure ratio: failures per handover attempt (1.0
+/// when failures occur with no attempt). The scenario gates are set on
+/// this scale; BENCH_CHAOS.json uses SimStats::failure_ratio() instead.
+double fleet_failure_ratio(const rem::sim::SimStats& s) {
+  return s.handovers > 0 ? static_cast<double>(s.failures) / s.handovers
+                         : (s.failures > 0 ? 1.0 : 0.0);
 }
 
 struct ScenarioResult {
@@ -98,7 +77,7 @@ struct ScenarioResult {
   int fleet_size = 0;
   std::size_t fault_windows = 0;
   rem::scenario::ScenarioGates gates;
-  FleetMetrics legacy, rem;
+  rem::bench::AggregateStats legacy, rem;
   std::vector<std::string> gate_failures;
 
   bool pass() const { return gate_failures.empty(); }
@@ -122,24 +101,25 @@ ScenarioResult run_scenario(const rem::scenario::CompiledScenario& c,
                                           opts)
         .aggregate;
   };
-  r.legacy = summarize(run(rem::bench::Manager::kLegacy));
-  r.rem = summarize(run(rem::bench::Manager::kRem));
+  r.legacy.add(run(rem::bench::Manager::kLegacy));
+  r.rem.add(run(rem::bench::Manager::kRem));
+  const double legacy_ratio = fleet_failure_ratio(r.legacy);
+  const double rem_ratio = fleet_failure_ratio(r.rem);
 
-  // Per-scenario metric labels (OBSERVABILITY.md): every counter the
-  // sweep emits is prefixed scenario.<name>.<manager>.
-  const auto record = [&](const char* mgr, const FleetMetrics& m) {
+  // Per-scenario metric labels (OBSERVABILITY.md): every kStatsTable row
+  // (integer rows as counters, double rows as gauges) plus
+  // backhaul_dropped and failure_ratio, prefixed scenario.<name>.<manager>.
+  const auto record = [&](const char* mgr,
+                          const rem::bench::AggregateStats& m) {
     const std::string p = "scenario." + r.name + "." + mgr + ".";
-    registry.counter(p + "handovers")->add(static_cast<std::uint64_t>(m.handovers));
-    registry.counter(p + "failures")->add(static_cast<std::uint64_t>(m.failures));
-    registry.counter(p + "prep_failures")
-        ->add(static_cast<std::uint64_t>(m.prep_failures));
-    registry.counter(p + "bs_queue_shed")
-        ->add(static_cast<std::uint64_t>(m.bs_queue_shed));
-    registry.counter(p + "admission_rejects")
-        ->add(static_cast<std::uint64_t>(m.admission_rejects));
-    registry.counter(p + "backhaul_dropped")->add(m.backhaul_dropped);
-    registry.gauge(p + "failure_ratio")->set(m.failure_ratio);
-    registry.gauge(p + "downtime_fraction")->set(m.downtime_fraction);
+    rem::bench::for_each_stat(m, [&](const char* name, auto value) {
+      if constexpr (std::is_floating_point_v<decltype(value)>)
+        registry.gauge(p + name)->set(value);
+      else
+        registry.counter(p + name)->add(static_cast<std::uint64_t>(value));
+    });
+    registry.counter(p + "backhaul_dropped")->add(m.backhaul_dropped());
+    registry.gauge(p + "failure_ratio")->set(fleet_failure_ratio(m));
   };
   record("legacy", r.legacy);
   record("rem", r.rem);
@@ -152,33 +132,19 @@ ScenarioResult run_scenario(const rem::scenario::CompiledScenario& c,
                   r.legacy.handovers, r.gates.min_legacy_handovers);
     r.gate_failures.push_back(buf);
   }
-  if (r.rem.failure_ratio > r.gates.max_rem_failure_ratio) {
+  if (rem_ratio > r.gates.max_rem_failure_ratio) {
     std::snprintf(buf, sizeof(buf),
                   "REM failure ratio %.4f above gate.max_rem_failure_ratio "
-                  "%.4f",
-                  r.rem.failure_ratio, r.gates.max_rem_failure_ratio);
+                  "%.4f", rem_ratio, r.gates.max_rem_failure_ratio);
     r.gate_failures.push_back(buf);
   }
-  if (r.gates.rem_le_legacy && r.rem.failure_ratio > r.legacy.failure_ratio) {
+  if (r.gates.rem_le_legacy && rem_ratio > legacy_ratio) {
     std::snprintf(buf, sizeof(buf),
                   "REM failure ratio %.4f exceeds legacy %.4f "
-                  "(gate.rem_le_legacy)",
-                  r.rem.failure_ratio, r.legacy.failure_ratio);
+                  "(gate.rem_le_legacy)", rem_ratio, legacy_ratio);
     r.gate_failures.push_back(buf);
   }
   return r;
-}
-
-void write_manager_json(std::ostream& os, const FleetMetrics& m) {
-  os << "{\"handovers\": " << m.handovers << ", \"failures\": " << m.failures
-     << ", \"failure_ratio\": " << m.failure_ratio
-     << ", \"downtime_fraction\": " << m.downtime_fraction
-     << ", \"degraded_enters\": " << m.degraded_enters
-     << ", \"prep_failures\": " << m.prep_failures
-     << ", \"bs_queue_shed\": " << m.bs_queue_shed
-     << ", \"admission_rejects\": " << m.admission_rejects
-     << ", \"bs_crashes\": " << m.bs_crashes
-     << ", \"backhaul_dropped\": " << m.backhaul_dropped << "}";
 }
 
 }  // namespace
@@ -301,8 +267,9 @@ int main(int argc, char** argv) {
                   "REM %4d HO %3d fail (%.3f) | %s\n",
                   r.name.c_str(), r.duration_s, r.fleet_size,
                   r.legacy.handovers, r.legacy.failures,
-                  r.legacy.failure_ratio, r.rem.handovers, r.rem.failures,
-                  r.rem.failure_ratio, r.pass() ? "pass" : "FAIL");
+                  fleet_failure_ratio(r.legacy), r.rem.handovers,
+                  r.rem.failures, fleet_failure_ratio(r.rem),
+                  r.pass() ? "pass" : "FAIL");
       for (const auto& g : r.gate_failures)
         std::printf("  FAIL: %s\n", g.c_str());
       ok = ok && r.pass();
@@ -320,9 +287,10 @@ int main(int argc, char** argv) {
          << ", \"fleet_size\": " << r.fleet_size
          << ", \"fault_windows\": " << r.fault_windows << ",\n";
       js << "      \"legacy\": ";
-      write_manager_json(js, r.legacy);
+      rem::bench::write_stats_json(js, r.legacy,
+                                   fleet_failure_ratio(r.legacy));
       js << ",\n      \"rem\": ";
-      write_manager_json(js, r.rem);
+      rem::bench::write_stats_json(js, r.rem, fleet_failure_ratio(r.rem));
       js << ",\n      \"gates\": {\"max_rem_failure_ratio\": "
          << r.gates.max_rem_failure_ratio << ", \"rem_le_legacy\": "
          << (r.gates.rem_le_legacy ? "true" : "false")

@@ -251,22 +251,6 @@ EstResult bench_estimates(const std::string& name, std::size_t m,
   return r;
 }
 
-bool runs_equal(const rem::bench::ScenarioRun& a,
-                const rem::bench::ScenarioRun& b) {
-  return a.legacy.handovers == b.legacy.handovers &&
-         a.legacy.failures == b.legacy.failures &&
-         a.rem.handovers == b.rem.handovers &&
-         a.rem.failures == b.rem.failures &&
-         a.legacy.by_cause == b.legacy.by_cause &&
-         a.rem.by_cause == b.rem.by_cause &&
-         a.legacy.feedback_delay_s.samples() ==
-             b.legacy.feedback_delay_s.samples() &&
-         a.rem.feedback_delay_s.samples() ==
-             b.rem.feedback_delay_s.samples() &&
-         a.conflict_histogram == b.conflict_histogram &&
-         a.total_conflicts == b.total_conflicts;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -396,7 +380,7 @@ int main(int argc, char** argv) {
   const auto t2 = Clock::now();
   const double serial_s = std::chrono::duration<double>(t1 - t0).count();
   const double par_s = std::chrono::duration<double>(t2 - t1).count();
-  const bool identical = runs_equal(serial, par);
+  const bool identical = rem::bench::run_differences(serial, par).empty();
   std::printf(
       "run_route %zu seeds: serial %.2f s, 4 threads %.2f s (%.2fx%s), "
       "identical=%s, hw threads=%zu\n",
@@ -420,7 +404,8 @@ int main(int argc, char** argv) {
   const double off_s = std::chrono::duration<double>(t4 - t3).count();
   const double on_s = std::chrono::duration<double>(t5 - t4).count();
   const double overhead_pct = 100.0 * (on_s - off_s) / off_s;
-  const bool metrics_identical = runs_equal(metrics_off, metrics_on);
+  const bool metrics_identical =
+      rem::bench::run_differences(metrics_off, metrics_on).empty();
   const auto* latency =
       metrics_on.rem_metrics.find_histogram("sim.handover_latency_s");
   std::printf(

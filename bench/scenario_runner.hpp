@@ -16,6 +16,11 @@
 //                 fleet_invariant_report failure.
 //   run_seed / run_fleet_scenario
 //                 the two entry points, thin callers of both.
+//   AggregateStats, write_stats_json, stats_differences
+//                 fold runs, write a manager's JSON block and compare two
+//                 results for identity, each by walking sim::kStatsTable,
+//                 so a new counter reaches every sweep and determinism
+//                 test without an edit here.
 //
 // After build_world each entry point keeps its own fork order, because
 // every golden digest and the fleet-of-one pins replay it:
@@ -62,6 +67,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -72,22 +78,42 @@
 
 namespace rem::bench {
 
+/// True for the kMean/kMeanSet rows: per-run means, which fold into one
+/// sample per run (AggregateStats::samples_of) instead of a single value.
+inline bool is_per_run_mean(const sim::StatsRow& row) {
+  return row.merge == sim::MergeRule::kMean ||
+         row.merge == sim::MergeRule::kMeanSet;
+}
+
 /// One manager's statistics over seeds. Every scalar SimStats counter
 /// folds by its sim::kStatsTable rule: kSum and kGlobal rows add up (each
 /// seed is its own world, so a world-global count sums across seeds) and
 /// kMax rows keep the largest value. The per-run means (the kMean/kMeanSet
-/// rows) keep one sample per seed in the Summaries below, and the
-/// per-run vectors concatenate in seed order. The inherited
-/// failures_by_cause, feedback_delays_s and events stay empty and
-/// avg_handover_interval_s and mean_throughput_bps stay zero: read
-/// by_cause and the Summaries instead (downtime_fraction here is the
-/// Summary, and failure_ratio_excluding_holes here reads by_cause).
+/// rows) keep one sample per seed in the Summaries below (samples_of), and
+/// the per-run vectors concatenate in seed order. The inherited
+/// failures_by_cause, feedback_delays_s and events stay empty and the
+/// inherited kMean/kMeanSet fields stay zero: read by_cause and the
+/// Summaries instead (downtime_fraction here is the Summary, and
+/// failure_ratio_excluding_holes here reads by_cause).
 struct AggregateStats : sim::SimStats {
   std::map<sim::FailureCause, int> by_cause;
   common::Summary handover_interval_s;
   common::Summary feedback_delay_s;
   common::Summary throughput_bps;
   common::Summary downtime_fraction;
+
+  /// The Summary holding the per-run values of a kMean/kMeanSet row.
+  common::Summary& samples_of(double sim::SimStats::*field) {
+    if (field == &sim::SimStats::avg_handover_interval_s)
+      return handover_interval_s;
+    if (field == &sim::SimStats::mean_throughput_bps) return throughput_bps;
+    if (field == &sim::SimStats::downtime_fraction) return downtime_fraction;
+    throw std::logic_error(std::string("AggregateStats keeps no Summary for ") +
+                           sim::stats_name(field));
+  }
+  const common::Summary& samples_of(double sim::SimStats::*field) const {
+    return const_cast<AggregateStats*>(this)->samples_of(field);
+  }
 
   void add(const sim::SimStats& s) {
     for (const auto& row : sim::kStatsTable)
@@ -103,14 +129,15 @@ struct AggregateStats : sim::SimStats {
                 break;
               case sim::MergeRule::kMean:
               case sim::MergeRule::kMeanSet:
-                break;  // the Summaries below
+                // kMeanSet: runs that never set the value are left out.
+                if constexpr (std::is_same_v<decltype(field),
+                                             double sim::SimStats::*>)
+                  if (row.merge == sim::MergeRule::kMean || s.*field > 0)
+                    samples_of(field).add(s.*field);
+                break;
             }
           },
           row.field);
-    throughput_bps.add(s.mean_throughput_bps);
-    downtime_fraction.add(s.downtime_fraction);
-    if (s.avg_handover_interval_s > 0)
-      handover_interval_s.add(s.avg_handover_interval_s);
     feedback_delay_s.add_all(s.feedback_delays_s);
     for (const auto& [c, n] : s.failures_by_cause) by_cause[c] += n;
     pre_failure_snrs_db.insert(pre_failure_snrs_db.end(),
@@ -131,7 +158,106 @@ struct AggregateStats : sim::SimStats {
   double failure_ratio_excluding_holes() const {
     return failure_ratio() - cause_ratio(sim::FailureCause::kCoverageHole);
   }
+  /// Backhaul frames dropped for any reason: loss + partition + queue
+  /// overflow + crash (the four causes the invariant checker's frame
+  /// conservation rule counts).
+  std::uint64_t backhaul_dropped() const {
+    return backhaul_dropped_loss + backhaul_dropped_partition +
+           backhaul_dropped_queue + backhaul_dropped_crash;
+  }
 };
+
+/// Calls `fn(name, value)` for every kStatsTable row of `s`, in table
+/// order: the folded counter (int, std::uint64_t or double), or for a
+/// kMean/kMeanSet row the mean over runs.
+template <class Fn>
+void for_each_stat(const AggregateStats& s, Fn&& fn) {
+  for (const auto& row : sim::kStatsTable)
+    std::visit(
+        [&](auto field) {
+          if constexpr (std::is_same_v<decltype(field),
+                                       double sim::SimStats::*>) {
+            if (is_per_run_mean(row)) {
+              fn(row.name, s.samples_of(field).mean());
+              return;
+            }
+          }
+          fn(row.name, s.*field);
+        },
+        row.field);
+}
+
+/// A sweep's keys that no kStatsTable row holds, in the order written.
+using DerivedKeys = std::vector<std::pair<std::string, double>>;
+
+/// One manager block of a sweep's JSON: every kStatsTable row
+/// (for_each_stat), then `backhaul_dropped`, then `failure_ratio` (each
+/// sweep passes its own formula), then the sweep's `derived` keys.
+inline void write_stats_json(std::ostream& os, const AggregateStats& s,
+                             double failure_ratio,
+                             const DerivedKeys& derived = {}) {
+  os << "{";
+  for_each_stat(s, [&](const char* name, auto value) {
+    os << "\"" << name << "\": " << value << ", ";
+  });
+  os << "\"backhaul_dropped\": " << s.backhaul_dropped()
+     << ", \"failure_ratio\": " << failure_ratio;
+  for (const auto& [name, value] : derived)
+    os << ", \"" << name << "\": " << value;
+  os << "}";
+}
+
+/// Names of the fields in which `a` and `b` differ (empty when they are
+/// bit-identical): every kStatsTable row, failures_by_cause, the per-run
+/// vectors and the event log. Doubles compare with == on purpose: the
+/// determinism guarantee is exact replay, not a tolerance.
+inline std::vector<std::string> stats_differences(const sim::SimStats& a,
+                                                  const sim::SimStats& b) {
+  std::vector<std::string> out;
+  for (const auto& row : sim::kStatsTable)
+    std::visit(
+        [&](auto field) {
+          if (!(a.*field == b.*field)) out.push_back(row.name);
+        },
+        row.field);
+  const auto check = [&](bool same, const char* name) {
+    if (!same) out.push_back(name);
+  };
+  check(a.failures_by_cause == b.failures_by_cause, "failures_by_cause");
+  check(a.outage_durations_s == b.outage_durations_s, "outage_durations_s");
+  check(a.feedback_delays_s == b.feedback_delays_s, "feedback_delays_s");
+  check(a.pre_failure_snrs_db == b.pre_failure_snrs_db,
+        "pre_failure_snrs_db");
+  const auto same_event = [](const sim::SignalingEvent& x,
+                             const sim::SignalingEvent& y) {
+    return x.t_s == y.t_s && x.kind == y.kind &&
+           x.serving_cell == y.serving_cell &&
+           x.target_cell == y.target_cell &&
+           x.serving_snr_db == y.serving_snr_db && x.ue == y.ue;
+  };
+  check(std::equal(a.events.begin(), a.events.end(), b.events.begin(),
+                   b.events.end(), same_event),
+        "events");
+  return out;
+}
+
+/// AggregateStats: the SimStats fields, then by_cause and the per-run
+/// Summaries (a kMean/kMeanSet row's samples under the row's name).
+inline std::vector<std::string> stats_differences(const AggregateStats& a,
+                                                  const AggregateStats& b) {
+  auto out = stats_differences(static_cast<const sim::SimStats&>(a),
+                               static_cast<const sim::SimStats&>(b));
+  if (a.by_cause != b.by_cause) out.push_back("by_cause");
+  for (const auto& row : sim::kStatsTable)
+    if (is_per_run_mean(row)) {
+      const auto field = std::get<double sim::SimStats::*>(row.field);
+      if (a.samples_of(field).samples() != b.samples_of(field).samples())
+        out.push_back(row.name);
+    }
+  if (a.feedback_delay_s.samples() != b.feedback_delay_s.samples())
+    out.push_back("feedback_delay_s");
+  return out;
+}
 
 struct ScenarioRun {
   AggregateStats legacy;
@@ -160,6 +286,23 @@ struct SeedRunResult {
   obs::MetricsSnapshot legacy_metrics;
   obs::MetricsSnapshot rem_metrics;
 };
+
+/// stats_differences over both managers ("legacy.<field>", "rem.<field>")
+/// and the conflict census of a seed result or a merged run. Collected
+/// metrics are not compared.
+template <class Run>
+std::vector<std::string> run_differences(const Run& a, const Run& b) {
+  std::vector<std::string> out;
+  for (const auto& f : stats_differences(a.legacy, b.legacy))
+    out.push_back("legacy." + f);
+  for (const auto& f : stats_differences(a.rem, b.rem))
+    out.push_back("rem." + f);
+  if (a.conflict_histogram != b.conflict_histogram)
+    out.push_back("conflict_histogram");
+  if (a.total_conflicts != b.total_conflicts)
+    out.push_back("total_conflicts");
+  return out;
+}
 
 /// What a run needs beyond its trace::Scenario. Everything the simulation
 /// reads — faults, backhaul, BS capacity, fleet size and derivation, event
@@ -449,6 +592,17 @@ inline ScenarioRun run_route_parallel(const trace::Scenario& sc,
     rs[i] = run_seed(sc, seeds[i], run_rem, bler, opts);
   });
   return merge_seed_results(rs);
+}
+
+/// Scripted windows of one fault kind, `period_s` apart from `first_s`
+/// until `horizon_s`.
+inline sim::FaultConfig periodic(sim::FaultKind kind, double first_s,
+                                 double period_s, double duration_s,
+                                 double magnitude, double horizon_s) {
+  sim::FaultConfig cfg;
+  for (double t = first_s; t < horizon_s; t += period_s)
+    cfg.windows.push_back({kind, t, duration_s, magnitude});
+  return cfg;
 }
 
 inline double pct(double x) { return 100.0 * x; }

@@ -8,7 +8,9 @@
 #   3. the scenario catalogue, the DESIGN.md fault-kind table and the
 #      OBSERVABILITY.md counter table must match the code (sections 2-4);
 #   4. every `bench::` symbol the top-level *.md files name must be
-#      declared in bench/*.hpp (section 6).
+#      declared in bench/*.hpp (section 6);
+#   5. every sim::kStatsTable row must be named in EXPERIMENTS.md's
+#      per-manager sweep field table (section 7).
 # Exits non-zero listing every violation; prints nothing on success
 # beyond a one-line summary.
 set -u
@@ -163,8 +165,37 @@ for md in ./*.md; do
   done
 done
 
+# --- 7. EXPERIMENTS.md sweep field table <-> sim::kStatsTable ---------------
+# Both sweeps (bench_chaos, bench_fleet) write every kStatsTable row into
+# each manager block, so every row (src/sim/schema.hpp) must have a
+# `` `name` `` mention in the table rows of EXPERIMENTS.md's "Per-manager
+# blocks of the sweeps" section. A counter added without docs fails the
+# docs label.
+if [ -f EXPERIMENTS.md ] && [ -f src/sim/schema.hpp ]; then
+  stats_rows=$(sed -n '/kStatsTable\[\] = {/,/^};/p' src/sim/schema.hpp |
+    sed -n 's/.*REM_STATS_ROW(\([a-z0-9_]*\),.*/\1/p')
+  if [ -z "$stats_rows" ]; then
+    echo "SWEEP FIELD LINT BROKEN: no rows parsed from kStatsTable in src/sim/schema.hpp"
+    fail=1
+  fi
+  sweep_table=$(awk '
+    /^### / { inside = ($0 ~ /^### Per-manager blocks of the sweeps/) }
+    inside && /^\|/ { print }
+  ' EXPERIMENTS.md)
+  if [ -z "$sweep_table" ]; then
+    echo "SWEEP FIELD LINT BROKEN: no table rows under '### Per-manager blocks of the sweeps' in EXPERIMENTS.md"
+    fail=1
+  fi
+  for name in $stats_rows; do
+    if ! printf '%s\n' "$sweep_table" | grep -qF "\`${name}\`"; then
+      echo "UNDOCUMENTED SWEEP FIELD: kStatsTable row '$name' has no \`$name\` entry in EXPERIMENTS.md's per-manager sweep field table"
+      fail=1
+    fi
+  done
+fi
+
 if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED"
   exit 1
 fi
-echo "check_docs: ok (markdown links + scenario catalogue + fault-kind table + event counter table + src/obs header docs + bench:: symbols)"
+echo "check_docs: ok (markdown links + scenario catalogue + fault-kind table + event counter table + src/obs header docs + bench:: symbols + sweep field table)"

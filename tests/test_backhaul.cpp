@@ -454,13 +454,5 @@ TEST(BackhaulFsm, DelaySpikesStretchRttWithoutFailures) {
 TEST(BackhaulFsm, RunsAreBitIdenticalWithTransportEnabled) {
   const auto a = run_scenario({});
   const auto b = run_scenario({});
-  EXPECT_EQ(a.rem.prep_requests, b.rem.prep_requests);
-  EXPECT_EQ(a.rem.prep_retries, b.rem.prep_retries);
-  EXPECT_EQ(a.rem.prep_acks, b.rem.prep_acks);
-  EXPECT_EQ(a.rem.prep_rtt_sum_s, b.rem.prep_rtt_sum_s);
-  EXPECT_EQ(a.rem.backhaul_sent, b.rem.backhaul_sent);
-  EXPECT_EQ(a.rem.backhaul_delivered, b.rem.backhaul_delivered);
-  EXPECT_EQ(a.rem.backhaul_latency_sum_s, b.rem.backhaul_latency_sum_s);
-  EXPECT_EQ(a.rem.handovers, b.rem.handovers);
-  EXPECT_EQ(a.rem.failures, b.rem.failures);
+  EXPECT_EQ(rem::bench::run_differences(a, b), std::vector<std::string>{});
 }

@@ -9,8 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace rs = rem::sim;
+using rem::bench::periodic;
 
 namespace {
 
@@ -24,69 +27,6 @@ bool same_windows(const std::vector<rs::FaultWindow>& a,
       return false;
   }
   return true;
-}
-
-// Bit-identity over every SimStats field (doubles compared with == on
-// purpose: the determinism guarantee is exact replay, not tolerance).
-void expect_identical(const rs::SimStats& a, const rs::SimStats& b) {
-  EXPECT_EQ(a.sim_time_s, b.sim_time_s);
-  EXPECT_EQ(a.handovers, b.handovers);
-  EXPECT_EQ(a.successful_handovers, b.successful_handovers);
-  EXPECT_EQ(a.failures, b.failures);
-  EXPECT_EQ(a.failures_by_cause, b.failures_by_cause);
-  EXPECT_EQ(a.loop_handovers, b.loop_handovers);
-  EXPECT_EQ(a.loop_episodes, b.loop_episodes);
-  EXPECT_EQ(a.avg_handover_interval_s, b.avg_handover_interval_s);
-  EXPECT_EQ(a.outage_durations_s, b.outage_durations_s);
-  EXPECT_EQ(a.feedback_delays_s, b.feedback_delays_s);
-  EXPECT_EQ(a.report_retransmits, b.report_retransmits);
-  EXPECT_EQ(a.t304_expiries, b.t304_expiries);
-  EXPECT_EQ(a.t304_fallback_success, b.t304_fallback_success);
-  EXPECT_EQ(a.duplicate_commands, b.duplicate_commands);
-  EXPECT_EQ(a.degraded_enters, b.degraded_enters);
-  EXPECT_EQ(a.degraded_time_s, b.degraded_time_s);
-  EXPECT_EQ(a.mean_throughput_bps, b.mean_throughput_bps);
-  EXPECT_EQ(a.downtime_fraction, b.downtime_fraction);
-  EXPECT_EQ(a.pre_failure_snrs_db, b.pre_failure_snrs_db);
-  EXPECT_EQ(a.prep_requests, b.prep_requests);
-  EXPECT_EQ(a.prep_retries, b.prep_retries);
-  EXPECT_EQ(a.prep_acks, b.prep_acks);
-  EXPECT_EQ(a.prep_rejects, b.prep_rejects);
-  EXPECT_EQ(a.prep_fallbacks, b.prep_fallbacks);
-  EXPECT_EQ(a.prep_failures, b.prep_failures);
-  EXPECT_EQ(a.prep_rtt_sum_s, b.prep_rtt_sum_s);
-  EXPECT_EQ(a.context_fetch_failures, b.context_fetch_failures);
-  EXPECT_EQ(a.backhaul_sent, b.backhaul_sent);
-  EXPECT_EQ(a.backhaul_delivered, b.backhaul_delivered);
-  EXPECT_EQ(a.backhaul_dropped_loss, b.backhaul_dropped_loss);
-  EXPECT_EQ(a.backhaul_dropped_partition, b.backhaul_dropped_partition);
-  EXPECT_EQ(a.backhaul_dropped_queue, b.backhaul_dropped_queue);
-  EXPECT_EQ(a.backhaul_duplicated, b.backhaul_duplicated);
-  EXPECT_EQ(a.backhaul_reordered, b.backhaul_reordered);
-  EXPECT_EQ(a.backhaul_latency_sum_s, b.backhaul_latency_sum_s);
-  EXPECT_EQ(a.backhaul_dropped_crash, b.backhaul_dropped_crash);
-  EXPECT_EQ(a.bs_jobs_submitted, b.bs_jobs_submitted);
-  EXPECT_EQ(a.bs_jobs_served, b.bs_jobs_served);
-  EXPECT_EQ(a.bs_jobs_queued, b.bs_jobs_queued);
-  EXPECT_EQ(a.bs_queue_shed, b.bs_queue_shed);
-  EXPECT_EQ(a.bs_jobs_flushed, b.bs_jobs_flushed);
-  EXPECT_EQ(a.bs_jobs_inflight_end, b.bs_jobs_inflight_end);
-  EXPECT_EQ(a.bs_queue_wait_sum_s, b.bs_queue_wait_sum_s);
-  EXPECT_EQ(a.admission_rejects, b.admission_rejects);
-  EXPECT_EQ(a.admission_backoff_retries, b.admission_backoff_retries);
-  EXPECT_EQ(a.bs_crashes, b.bs_crashes);
-  EXPECT_EQ(a.bs_crash_dropped_msgs, b.bs_crash_dropped_msgs);
-  EXPECT_EQ(a.stale_context_responses, b.stale_context_responses);
-}
-
-/// Periodic scripted windows of one kind over [first_s, horizon_s).
-rs::FaultConfig periodic(rs::FaultKind kind, double first_s, double period_s,
-                         double duration_s, double magnitude,
-                         double horizon_s) {
-  rs::FaultConfig cfg;
-  for (double t = first_s; t < horizon_s; t += period_s)
-    cfg.windows.push_back({kind, t, duration_s, magnitude});
-  return cfg;
 }
 
 }  // namespace
@@ -274,8 +214,7 @@ TEST(ChaosDeterminism, SameSeedSameFaultsBitIdenticalStats) {
   rem::phy::LogisticBlerModel bler;
   const auto a = rem::bench::run_seed(sc, 7, true, bler);
   const auto b = rem::bench::run_seed(sc, 7, true, bler);
-  expect_identical(a.legacy, b.legacy);
-  expect_identical(a.rem, b.rem);
+  EXPECT_EQ(rem::bench::run_differences(a, b), std::vector<std::string>{});
 }
 
 TEST(ChaosDeterminism, ParallelMatchesSerialAcrossThreadCounts) {
@@ -288,25 +227,8 @@ TEST(ChaosDeterminism, ParallelMatchesSerialAcrossThreadCounts) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     const auto par =
         rem::bench::run_route_parallel(sc, seeds, true, threads);
-    EXPECT_EQ(serial.legacy.handovers, par.legacy.handovers);
-    EXPECT_EQ(serial.legacy.failures, par.legacy.failures);
-    EXPECT_EQ(serial.legacy.by_cause, par.legacy.by_cause);
-    EXPECT_EQ(serial.legacy.report_retransmits, par.legacy.report_retransmits);
-    EXPECT_EQ(serial.legacy.duplicate_commands, par.legacy.duplicate_commands);
-    EXPECT_EQ(serial.legacy.outage_durations_s, par.legacy.outage_durations_s);
-    EXPECT_EQ(serial.rem.handovers, par.rem.handovers);
-    EXPECT_EQ(serial.rem.failures, par.rem.failures);
-    EXPECT_EQ(serial.rem.degraded_enters, par.rem.degraded_enters);
-    EXPECT_EQ(serial.rem.degraded_time_s, par.rem.degraded_time_s);
-    EXPECT_EQ(serial.rem.outage_durations_s, par.rem.outage_durations_s);
-    EXPECT_EQ(serial.rem.prep_requests, par.rem.prep_requests);
-    EXPECT_EQ(serial.rem.prep_retries, par.rem.prep_retries);
-    EXPECT_EQ(serial.rem.prep_acks, par.rem.prep_acks);
-    EXPECT_EQ(serial.rem.prep_rtt_sum_s, par.rem.prep_rtt_sum_s);
-    EXPECT_EQ(serial.rem.backhaul_sent, par.rem.backhaul_sent);
-    EXPECT_EQ(serial.rem.backhaul_delivered, par.rem.backhaul_delivered);
-    EXPECT_EQ(serial.rem.backhaul_latency_sum_s,
-              par.rem.backhaul_latency_sum_s);
+    EXPECT_EQ(rem::bench::run_differences(serial, par),
+              std::vector<std::string>{});
   }
 }
 

@@ -17,6 +17,7 @@
 #include <string>
 #include <utility>
 #include <variant>
+#include <vector>
 
 namespace {
 
@@ -308,14 +309,7 @@ TEST(InvariantCheckerEndToEnd, CheckerDoesNotChangeResults) {
   const auto a = rem::bench::run_seed(sc, 5, true, bler);
   const auto b = rem::bench::run_seed(sc, 5, true, bler, unchecked);
   // Bit-identity on purpose: the observer draws no randomness.
-  EXPECT_EQ(a.legacy.handovers, b.legacy.handovers);
-  EXPECT_EQ(a.legacy.failures, b.legacy.failures);
-  EXPECT_EQ(a.legacy.outage_durations_s, b.legacy.outage_durations_s);
-  EXPECT_EQ(a.legacy.mean_throughput_bps, b.legacy.mean_throughput_bps);
-  EXPECT_EQ(a.rem.handovers, b.rem.handovers);
-  EXPECT_EQ(a.rem.failures, b.rem.failures);
-  EXPECT_EQ(a.rem.outage_durations_s, b.rem.outage_durations_s);
-  EXPECT_EQ(a.rem.mean_throughput_bps, b.rem.mean_throughput_bps);
+  EXPECT_EQ(rem::bench::run_differences(a, b), std::vector<std::string>{});
 }
 
 // ---- Environment plumbing (REM_TEST_SEEDS / REM_CHECK_INVARIANTS) ----

@@ -250,12 +250,8 @@ TEST(ScenarioRunnerMetrics, CollectionDoesNotPerturbStats) {
   const auto with = rem::bench::run_route(sc, seeds, true, opts);
   opts.collect_metrics = false;
   const auto without = rem::bench::run_route(sc, seeds, true, opts);
-  EXPECT_EQ(with.legacy.handovers, without.legacy.handovers);
-  EXPECT_EQ(with.legacy.failures, without.legacy.failures);
-  EXPECT_EQ(with.rem.handovers, without.rem.handovers);
-  EXPECT_EQ(with.rem.failures, without.rem.failures);
-  EXPECT_EQ(with.legacy.by_cause, without.legacy.by_cause);
-  EXPECT_EQ(with.rem.by_cause, without.rem.by_cause);
+  EXPECT_EQ(rem::bench::run_differences(with, without),
+            std::vector<std::string>{});
   EXPECT_TRUE(without.legacy_metrics.empty());
   EXPECT_FALSE(with.legacy_metrics.empty());
 }

@@ -2,43 +2,23 @@
 // the serial runner for the same seed list, independent of thread count:
 // every floating-point accumulation happens in merge_seed_results() in seed
 // order, never in completion order. Also pins what the one checker-config
-// builder hands each manager family.
+// builder hands each manager family, and that the identity comparison and
+// the sweep writer cover every sim::kStatsTable row.
 #include "scenario_runner.hpp"
 
 #include <gtest/gtest.h>
+
+#include <sstream>
+#include <string>
+#include <variant>
+#include <vector>
 
 namespace {
 
 using rem::bench::AggregateStats;
 using rem::bench::ScenarioRun;
 
-void expect_identical(const AggregateStats& a, const AggregateStats& b,
-                      const char* which) {
-  SCOPED_TRACE(which);
-  EXPECT_EQ(a.handovers, b.handovers);
-  EXPECT_EQ(a.failures, b.failures);
-  EXPECT_EQ(a.by_cause, b.by_cause);
-  EXPECT_EQ(a.loop_episodes, b.loop_episodes);
-  EXPECT_EQ(a.loop_handovers, b.loop_handovers);
-  EXPECT_EQ(a.conflict_loop_episodes, b.conflict_loop_episodes);
-  EXPECT_EQ(a.conflict_loop_handovers, b.conflict_loop_handovers);
-  EXPECT_EQ(a.intra_freq_conflict_loops, b.intra_freq_conflict_loops);
-  // Doubles compared with == on purpose: the guarantee is bit-identity.
-  EXPECT_EQ(a.sim_time_s, b.sim_time_s);
-  EXPECT_EQ(a.handover_interval_s.samples(), b.handover_interval_s.samples());
-  EXPECT_EQ(a.feedback_delay_s.samples(), b.feedback_delay_s.samples());
-  EXPECT_EQ(a.outage_durations_s, b.outage_durations_s);
-  EXPECT_EQ(a.pre_failure_snrs_db, b.pre_failure_snrs_db);
-  EXPECT_EQ(a.throughput_bps.samples(), b.throughput_bps.samples());
-  EXPECT_EQ(a.downtime_fraction.samples(), b.downtime_fraction.samples());
-}
-
-void expect_identical(const ScenarioRun& a, const ScenarioRun& b) {
-  expect_identical(a.legacy, b.legacy, "legacy");
-  expect_identical(a.rem, b.rem, "rem");
-  EXPECT_EQ(a.conflict_histogram, b.conflict_histogram);
-  EXPECT_EQ(a.total_conflicts, b.total_conflicts);
-}
+const std::vector<std::string> kIdentical;
 
 }  // namespace
 
@@ -52,7 +32,7 @@ TEST(ScenarioRunner, ParallelIsBitIdenticalAcrossThreadCounts) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     const auto par =
         rem::bench::run_route_parallel(sc, seeds, true, threads);
-    expect_identical(serial, par);
+    EXPECT_EQ(rem::bench::run_differences(serial, par), kIdentical);
   }
 }
 
@@ -63,7 +43,7 @@ TEST(ScenarioRunner, LegacyOnlyParallelMatchesSerial) {
   const auto serial = rem::bench::run_route(sc, seeds, /*run_rem=*/false);
   const auto par =
       rem::bench::run_route_parallel(sc, seeds, /*run_rem=*/false, 3);
-  expect_identical(serial, par);
+  EXPECT_EQ(rem::bench::run_differences(serial, par), kIdentical);
   EXPECT_EQ(par.rem.handovers, 0);
   EXPECT_TRUE(par.rem.throughput_bps.samples().empty());
 }
@@ -112,4 +92,87 @@ TEST(ScenarioRunner, CheckerConfigFollowsManagerFamilyAndFaults) {
       EXPECT_EQ(c->num_cells, 42u);
     }
   }
+}
+
+TEST(StatsDifferences, NamesEachChangedSimStatsField) {
+  using rem::bench::stats_differences;
+  const rem::sim::SimStats base;
+  EXPECT_EQ(stats_differences(base, base), kIdentical);
+  for (const auto& row : rem::sim::kStatsTable) {
+    auto changed = base;
+    std::visit([&](auto field) { changed.*field += 1; }, row.field);
+    EXPECT_EQ(stats_differences(base, changed),
+              std::vector<std::string>{row.name});
+  }
+  const auto expect_named = [&](const std::string& name, auto mutate) {
+    auto changed = base;
+    mutate(changed);
+    EXPECT_EQ(stats_differences(base, changed),
+              std::vector<std::string>{name});
+  };
+  expect_named("failures_by_cause", [](rem::sim::SimStats& s) {
+    s.failures_by_cause[rem::sim::FailureCause::kCoverageHole] = 1;
+  });
+  expect_named("outage_durations_s", [](rem::sim::SimStats& s) {
+    s.outage_durations_s.push_back(1.0);
+  });
+  expect_named("feedback_delays_s", [](rem::sim::SimStats& s) {
+    s.feedback_delays_s.push_back(1.0);
+  });
+  expect_named("pre_failure_snrs_db", [](rem::sim::SimStats& s) {
+    s.pre_failure_snrs_db.push_back(1.0);
+  });
+  expect_named("events",
+               [](rem::sim::SimStats& s) { s.events.emplace_back(); });
+}
+
+TEST(StatsDifferences, NamesAggregateSamplesAndPrefixesManagers) {
+  using rem::bench::stats_differences;
+  const AggregateStats base;
+  for (const auto& row : rem::sim::kStatsTable) {
+    if (!rem::bench::is_per_run_mean(row)) continue;
+    auto changed = base;
+    changed.samples_of(std::get<double rem::sim::SimStats::*>(row.field))
+        .add(1.0);
+    EXPECT_EQ(stats_differences(base, changed),
+              std::vector<std::string>{row.name});
+  }
+  auto changed = base;
+  changed.by_cause[rem::sim::FailureCause::kCoverageHole] = 1;
+  changed.feedback_delay_s.add(1.0);
+  EXPECT_EQ(stats_differences(base, changed),
+            (std::vector<std::string>{"by_cause", "feedback_delay_s"}));
+
+  ScenarioRun a, b;
+  b.legacy.handovers = 1;
+  b.rem.failures = 1;
+  b.total_conflicts = 1;
+  EXPECT_EQ(rem::bench::run_differences(a, b),
+            (std::vector<std::string>{"legacy.handovers", "rem.failures",
+                                      "total_conflicts"}));
+}
+
+TEST(StatsJson, WritesEveryTableRowWithMeansOverRuns) {
+  AggregateStats agg;
+  rem::sim::SimStats run;
+  run.handovers = 3;
+  run.backhaul_dropped_crash = 2;
+  run.downtime_fraction = 0.25;
+  agg.add(run);
+  run.downtime_fraction = 0.75;
+  agg.add(run);
+  std::ostringstream os;
+  rem::bench::write_stats_json(os, agg, 0.5, {{"extra_key", 1.5}});
+  const std::string js = os.str();
+  for (const auto& row : rem::sim::kStatsTable)
+    EXPECT_NE(js.find("\"" + std::string(row.name) + "\": "),
+              std::string::npos)
+        << row.name;
+  EXPECT_NE(js.find("\"handovers\": 6,"), std::string::npos) << js;
+  EXPECT_NE(js.find("\"downtime_fraction\": 0.5,"), std::string::npos) << js;
+  // Crash drops count toward backhaul_dropped.
+  EXPECT_NE(js.find("\"backhaul_dropped\": 4,"), std::string::npos) << js;
+  EXPECT_NE(js.find("\"failure_ratio\": 0.5, \"extra_key\": 1.5}"),
+            std::string::npos)
+      << js;
 }

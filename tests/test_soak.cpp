@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 namespace rs = rem::sim;
@@ -90,14 +91,7 @@ TEST(ChaosSoak, RandomizedScheduleReplaysBitIdentically) {
   sc.sim.faults = random_everything();
   const auto a = rem::bench::run_seed(sc, 5, true, bler);
   const auto b = rem::bench::run_seed(sc, 5, true, bler);
-  EXPECT_EQ(a.legacy.handovers, b.legacy.handovers);
-  EXPECT_EQ(a.legacy.failures, b.legacy.failures);
-  EXPECT_EQ(a.legacy.bs_queue_shed, b.legacy.bs_queue_shed);
-  EXPECT_EQ(a.legacy.bs_queue_wait_sum_s, b.legacy.bs_queue_wait_sum_s);
-  EXPECT_EQ(a.rem.admission_rejects, b.rem.admission_rejects);
-  EXPECT_EQ(a.rem.bs_crashes, b.rem.bs_crashes);
-  EXPECT_EQ(a.rem.stale_context_responses, b.rem.stale_context_responses);
-  EXPECT_EQ(a.rem.backhaul_sent, b.rem.backhaul_sent);
+  EXPECT_EQ(rem::bench::run_differences(a, b), std::vector<std::string>{});
 }
 
 TEST(ChaosSoak, RandomizedAllFaultFleetHoldsInvariants) {
@@ -134,19 +128,9 @@ TEST(ChaosSoak, RandomizedFleetReplaysBitIdentically) {
   ASSERT_EQ(a.per_ue.size(), b.per_ue.size());
   for (std::size_t k = 0; k < a.per_ue.size(); ++k) {
     SCOPED_TRACE("ue " + std::to_string(k));
-    EXPECT_EQ(a.per_ue[k].handovers, b.per_ue[k].handovers);
-    EXPECT_EQ(a.per_ue[k].failures, b.per_ue[k].failures);
-    EXPECT_EQ(a.per_ue[k].mean_throughput_bps,
-              b.per_ue[k].mean_throughput_bps);
+    EXPECT_EQ(rem::bench::stats_differences(a.per_ue[k], b.per_ue[k]),
+              std::vector<std::string>{});
   }
-  EXPECT_EQ(a.aggregate.bs_queue_shed, b.aggregate.bs_queue_shed);
-  EXPECT_EQ(a.aggregate.admission_rejects, b.aggregate.admission_rejects);
-  EXPECT_EQ(a.aggregate.bs_crashes, b.aggregate.bs_crashes);
-  EXPECT_EQ(a.aggregate.backhaul_sent, b.aggregate.backhaul_sent);
-  EXPECT_EQ(a.aggregate.cascade_jobs_injected,
-            b.aggregate.cascade_jobs_injected);
-  EXPECT_EQ(a.aggregate.breaker_trips, b.aggregate.breaker_trips);
-  EXPECT_EQ(a.aggregate.load_ads_received, b.aggregate.load_ads_received);
-  EXPECT_EQ(a.aggregate.storm_jitter_applied,
-            b.aggregate.storm_jitter_applied);
+  EXPECT_EQ(rem::bench::stats_differences(a.aggregate, b.aggregate),
+            std::vector<std::string>{});
 }
