@@ -10,7 +10,9 @@
 #   4. every `bench::` symbol the top-level *.md files name must be
 #      declared in bench/*.hpp (section 6);
 #   5. every sim::kStatsTable row must be named in EXPERIMENTS.md's
-#      per-manager sweep field table (section 7).
+#      per-manager sweep field table (section 7);
+#   6. every bench binary the docs name must be a bench/CMakeLists.txt
+#      target, and every target must have a how-to-run row (section 8).
 # Exits non-zero listing every violation; prints nothing on success
 # beyond a one-line summary.
 set -u
@@ -194,8 +196,44 @@ if [ -f EXPERIMENTS.md ] && [ -f src/sim/schema.hpp ]; then
   done
 fi
 
+# --- 8. bench binaries in the docs <-> bench/CMakeLists.txt ----------------
+# Every `bench/<name>` or `build/bench/<name>` (bare or `.cpp`; headers and
+# other files are skipped) that README, EXPERIMENTS, DESIGN, OBSERVABILITY
+# or SCENARIOS names must be a target declared in bench/CMakeLists.txt, so
+# docs cannot keep pointing at a deleted binary. Every target must in turn
+# have a `build/bench/<name>` row in EXPERIMENTS.md's "Reproducing figure
+# by figure" table.
+bench_targets=$(sed -nE 's/^(rem_add_bench|add_executable)\(([A-Za-z0-9_]+).*/\2/p' \
+  bench/CMakeLists.txt | sort -u)
+if [ -z "$bench_targets" ]; then
+  echo "BENCH TARGET LINT BROKEN: no targets parsed from bench/CMakeLists.txt"
+  fail=1
+fi
+for md in README.md EXPERIMENTS.md DESIGN.md OBSERVABILITY.md SCENARIOS.md; do
+  [ -f "$md" ] || continue
+  for name in $(grep -oE '(^|[^A-Za-z0-9_-])(build/)?bench/[A-Za-z0-9_]+(\.[A-Za-z0-9]+)?' "$md" |
+                sed -nE 's@.*bench/([A-Za-z0-9_]+)(\.cpp)?$@\1@p' | sort -u); do
+    if ! printf '%s\n' "$bench_targets" | grep -qx "$name"; then
+      echo "STALE BENCH BINARY: $md names bench/$name, which bench/CMakeLists.txt does not declare"
+      fail=1
+    fi
+  done
+done
+if [ -f EXPERIMENTS.md ]; then
+  run_table=$(awk '
+    /^## / { inside = ($0 ~ /^## Reproducing figure by figure/) }
+    inside && /^\|/ { print }
+  ' EXPERIMENTS.md)
+  for name in $bench_targets; do
+    if ! printf '%s\n' "$run_table" | grep -qF "\`build/bench/${name}\`"; then
+      echo "UNLISTED BENCH TARGET: bench/CMakeLists.txt declares '$name' but EXPERIMENTS.md's how-to-run table has no \`build/bench/${name}\` row"
+      fail=1
+    fi
+  done
+fi
+
 if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED"
   exit 1
 fi
-echo "check_docs: ok (markdown links + scenario catalogue + fault-kind table + event counter table + src/obs header docs + bench:: symbols + sweep field table)"
+echo "check_docs: ok (markdown links + scenario catalogue + fault-kind table + event counter table + src/obs header docs + bench:: symbols + sweep field table + bench targets)"

@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # The pre-commit loop: configure, build, and run the tier-1 test suite
 # plus the documentation lint (check_docs.sh, ctest label `docs`), the
-# perf smoke (`bench_perf --smoke`, label `perf`, which exercises the
-# batched DSP kernels and their correctness/allocation gates), the
-# fleet determinism layer (label `fleet`: multi-UE engine pinned against
-# the single-UE simulator and across thread counts), and the golden-trace
-# corpus replay (label `golden`, about 1 s: catches byte drift from a
-# hot-path refactor) — the fast checks every change must keep green
-# (ROADMAP.md).
+# perf smoke (`bench_perf --smoke`, label `perf`: the batched estimator
+# against the singles loop, with its 1e-10 match and zero-allocation
+# gates), the fleet determinism layer (label `fleet`: multi-UE engine
+# pinned against the single-UE simulator and across thread counts), and
+# the golden-trace corpus replay (label `golden`, about 1 s: catches byte
+# drift from a hot-path refactor) — the fast checks every change must
+# keep green (ROADMAP.md).
 #
 #   scripts/check_tier1.sh              # tier1 + docs + perf + fleet +
 #                                       # golden

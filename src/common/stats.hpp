@@ -28,8 +28,8 @@ class Summary {
   double min() const;
   double max() const;
   /// Exact percentile by linear interpolation, p in [0,100].
-  /// Precondition: !empty() — mean/stddev/min/max/percentile on an empty
-  /// Summary return 0 rather than trap; callers gate on empty().
+  /// On an empty Summary mean() and stddev() return 0, while min(), max()
+  /// and percentile() throw std::runtime_error; callers gate on empty().
   double percentile(double p) const;
   double median() const { return percentile(50.0); }
 

@@ -126,6 +126,9 @@ TEST(Summary, EmptyInputs) {
   rc::Summary s;
   EXPECT_TRUE(s.empty());
   EXPECT_DOUBLE_EQ(s.mean(), 0.0);
+  EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
+  EXPECT_THROW(s.min(), std::runtime_error);
+  EXPECT_THROW(s.max(), std::runtime_error);
   EXPECT_THROW(s.percentile(50), std::runtime_error);
   EXPECT_TRUE(rc::empirical_cdf({}, 10).empty());
 }
